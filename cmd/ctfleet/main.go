@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pushAddr := fs.String("push", "", "push the fleet's frames to a ctstationd TCP ingest at this address instead of estimating locally")
 	pushRetries := fs.Int("pushretries", 3, "stop-and-wait retransmissions per NAKed frame in -push mode")
 	pushTimeout := fs.Duration("pushtimeout", station.DefaultAckTimeout, "per-frame ACK deadline in -push mode (a station that accepts but never answers aborts the session)")
-	pgo := fs.String("pgo", "", "profile-guided passes beyond placement: comma-separated subset of inline,superblock,hotcold,pagepack, or all/none")
+	pgo := fs.String("pgo", "", "profile-guided passes beyond placement: comma-separated subset of inline,pagepack, or all/none")
 	pageCost := fs.Int("pagecost", 0, "flash page-crossing penalty in cycles charged by the mote (0 = uniform flash)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -172,8 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := codetomo.FleetConfig{
 		Config: codetomo.Config{Workload: *regime, Seed: *seed, TickDiv: *tick, MaxCycles: *maxcycles,
-			PGOInline: passes.Inline, PGOSuperblock: passes.Superblock,
-			PGOHotCold: passes.HotCold, PGOPagePack: passes.PagePack,
+			PGOInline: passes.Inline, PGOPagePack: passes.PagePack,
 			PageCrossPenalty: *pageCost},
 		Motes:           *motes,
 		Workers:         *workers,

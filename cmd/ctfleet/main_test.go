@@ -112,7 +112,7 @@ func TestRunHappyPath(t *testing.T) {
 func TestRunWithPGOPasses(t *testing.T) {
 	prog := writeProgram(t)
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-motes", "2", "-workers", "2", "-pgo", "inline,hotcold", "-pagecost", "5", prog}, &stdout, &stderr)
+	code := run([]string{"-motes", "2", "-workers", "2", "-pgo", "inline,pagepack", "-pagecost", "5", prog}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstderr: %s", code, stderr.String())
 	}

@@ -5,8 +5,7 @@
 // unreachable-block, loop-unbounded), and static cost bounds (provable
 // WCET cycles, stack depth, recursion, flash size) against the M16 part
 // limits. With -pages it adds a flash-page report: pages each procedure
-// occupies, avoidable page straddles, and cold-split candidates under
-// static branch priors.
+// occupies and avoidable page straddles.
 //
 // Usage:
 //
@@ -28,7 +27,7 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	costs := flag.Bool("costs", false, "include an informational cost summary per procedure")
-	pages := flag.Bool("pages", false, "include a flash-page occupancy report and cold-split candidates per procedure")
+	pages := flag.Bool("pages", false, "include a flash-page occupancy and straddle report per procedure")
 	maxCycles := flag.Uint64("max-cycles", 0, "warn when a procedure's provable worst-case cycle bound exceeds this (0 = off)")
 	flag.Parse()
 	if flag.NArg() == 0 {

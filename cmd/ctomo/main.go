@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fuse := fs.Bool("fuse", false, "enable compare-branch fusion in all builds")
 	rotate := fs.Bool("rotate", false, "enable loop rotation in all builds")
 	static := fs.Bool("static", false, "pin statically resolved branches and check fits against the static envelope")
-	pgo := fs.String("pgo", "", "profile-guided passes beyond placement: comma-separated subset of inline,superblock,hotcold,pagepack, or all/none")
+	pgo := fs.String("pgo", "", "profile-guided passes beyond placement: comma-separated subset of inline,pagepack, or all/none")
 	pageCost := fs.Int("pagecost", 0, "flash page-crossing penalty in cycles charged by the mote (0 = uniform flash)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -56,8 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := codetomo.Config{Workload: *regime, Seed: *seed, TickDiv: *tick,
 		FuseCompares: *fuse, RotateLoops: *rotate, StaticResolve: *static,
-		PGOInline: passes.Inline, PGOSuperblock: passes.Superblock,
-		PGOHotCold: passes.HotCold, PGOPagePack: passes.PagePack,
+		PGOInline: passes.Inline, PGOPagePack: passes.PagePack,
 		PageCrossPenalty: *pageCost}
 	est, err := cli.Estimator(*estName, *tick)
 	if err != nil {

@@ -32,6 +32,11 @@ import (
 	"codetomo/internal/station"
 )
 
+// readHeaderTimeout bounds how long the HTTP API waits for a client to
+// finish sending request headers, so a client that stalls mid-header
+// cannot hold a connection open forever.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -138,7 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if udpC != nil {
 		go func() { errCh <- srv.ServeUDP(udpC) }()
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := hs.Serve(httpL); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -205,5 +208,42 @@ func TestStationSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "drained") {
 		t.Fatalf("no drain message:\n%s", stdout.String())
+	}
+}
+
+// A client that sends half a request header and then stalls must not hold
+// its HTTP connection forever: the daemon closes it once the header
+// timeout passes.
+func TestStalledHTTPHeaderIsClosed(t *testing.T) {
+	t.Parallel()
+	prog := writeProgram(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	var stdout, stderr syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", prog}, &stdout, &stderr)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	httpAddr := waitForAddr(t, &stdout, "ctstationd: http ")
+
+	conn, err := net.Dial("tcp", httpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: station\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled header (timeout %v)", time.Since(start), readHeaderTimeout)
+	}
+	if !errors.Is(err, io.EOF) || n != 0 {
+		t.Fatalf("read after stalled header = (%d bytes, %v), want the server to close the connection", n, err)
 	}
 }

@@ -76,14 +76,14 @@ type Config struct {
 	// fitted estimate is sanity-checked against the procedure's static
 	// feasible duration envelope. Off by default.
 	StaticResolve bool
-	// PGOInline, PGOSuperblock, PGOHotCold, and PGOPagePack enable the
-	// profile-guided optimization passes beyond placement in the optimized
-	// rebuild (see compile.PGOOptions), driven by the same estimated
-	// probabilities that drive placement. All off by default.
-	PGOInline     bool
-	PGOSuperblock bool
-	PGOHotCold    bool
-	PGOPagePack   bool
+	// PGOInline and PGOPagePack enable the profile-guided optimization
+	// passes beyond placement in the optimized rebuild (see
+	// compile.PGOOptions), driven by the same estimated probabilities that
+	// drive placement: inlining of small leaf callees at hot call sites,
+	// and flash-page-aware padding of weighted procedures. Both off by
+	// default.
+	PGOInline   bool
+	PGOPagePack bool
 	// PageCrossPenalty, when positive, charges that many cycles on every
 	// executed control transfer landing on a different flash page — in the
 	// simulated mote and the timing metadata of every build of the
@@ -325,7 +325,7 @@ func (c Config) execute(source string, opts compile.Options) (*compile.Output, *
 // pgoEnabled reports whether any profile-guided pass beyond placement is
 // selected.
 func (c Config) pgoEnabled() bool {
-	return c.PGOInline || c.PGOSuperblock || c.PGOHotCold || c.PGOPagePack
+	return c.PGOInline || c.PGOPagePack
 }
 
 // pgoOptions converts the trusted per-procedure probability estimates into
@@ -351,11 +351,9 @@ func (c Config) pgoOptions(prog *cfg.Program, probs map[string]markov.EdgeProbs)
 		weights[p.Name] = compile.ProcWeights(layout.FromProbs(p, ep))
 	}
 	return &compile.PGOOptions{
-		Weights:    weights,
-		Inline:     c.PGOInline,
-		Superblock: c.PGOSuperblock,
-		HotCold:    c.PGOHotCold,
-		PagePack:   c.PGOPagePack,
+		Weights:  weights,
+		Inline:   c.PGOInline,
+		PagePack: c.PGOPagePack,
 	}
 }
 

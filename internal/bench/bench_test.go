@@ -377,8 +377,11 @@ func TestStationIngestSweep(t *testing.T) {
 
 // TestPGOSweepShape checks the pg1 acceptance shape: one row per kernel
 // (the placement corpus plus the call-heavy chain), the full PGO stack
-// never slower than placement alone, and inlining actually earning cycles
-// on the call-heavy kernel it exists for.
+// never slower than placement alone, and every pass earning its place in
+// the stack. With two passes each single-pass column is the other pass's
+// leave-one-out, so inlining pays when the stack beats pagepack alone (on
+// chain, the kernel it exists for) and page packing pays when the stack
+// beats inline alone (on the branch-heavy corpus).
 func TestPGOSweepShape(t *testing.T) {
 	tab, err := PGOSweep(fastConfig())
 	if err != nil {
@@ -388,21 +391,32 @@ func TestPGOSweepShape(t *testing.T) {
 		t.Fatalf("PG1 rows = %d, want %d\n%s", len(tab.Rows), want, tab.Render())
 	}
 	var sawChain bool
+	packPays := 0
 	for _, row := range tab.Rows {
 		if floatCell(t, row[1]) <= 0 {
 			t.Errorf("%s: nonpositive placed cycles %s", row[0], row[1])
 		}
-		if stacked := floatCell(t, row[6]); stacked > 1.0 {
+		inline, pack, stacked := floatCell(t, row[2]), floatCell(t, row[3]), floatCell(t, row[4])
+		if stacked > 1.0 {
 			t.Errorf("%s: stacked PGO slower than placement-only (%v)\n%s", row[0], stacked, tab.Render())
+		}
+		if stacked < inline {
+			packPays++
 		}
 		if row[0] == "chain" {
 			sawChain = true
-			if inline := floatCell(t, row[2]); inline >= 1.0 {
+			if inline >= 1.0 {
 				t.Errorf("chain: inlining saved nothing (%v)\n%s", inline, tab.Render())
+			}
+			if stacked >= pack {
+				t.Errorf("chain: stack without inlining is as fast as with it (%v vs %v)\n%s", pack, stacked, tab.Render())
 			}
 		}
 	}
 	if !sawChain {
 		t.Fatalf("PG1 is missing the call-heavy chain kernel\n%s", tab.Render())
+	}
+	if packPays == 0 {
+		t.Errorf("page packing makes the stack faster on no app\n%s", tab.Render())
 	}
 }

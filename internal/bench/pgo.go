@@ -16,14 +16,13 @@ import (
 const pgoPageCrossPenalty = 5
 
 // pgoPasses enumerates the single-pass configurations of the sweep, in
-// pipeline order.
+// pipeline order. With two passes, each single-pass column is also the
+// other pass's leave-one-out: the stack without it.
 var pgoPasses = []struct {
 	name string
 	set  func(*compile.PGOOptions)
 }{
 	{"inline", func(o *compile.PGOOptions) { o.Inline = true }},
-	{"superblock", func(o *compile.PGOOptions) { o.Superblock = true }},
-	{"hotcold", func(o *compile.PGOOptions) { o.HotCold = true }},
 	{"pagepack", func(o *compile.PGOOptions) { o.PagePack = true }},
 }
 
@@ -31,14 +30,14 @@ var pgoPasses = []struct {
 // estimation-based placement: every app is profiled once via timestamps,
 // the estimated probabilities feed both the placement plan and the PGO
 // edge weights, and then the identical workload runs under placement
-// alone, under each single pass stacked on placement, and under all four
+// alone, under each single pass stacked on placement, and under both
 // passes together — all with the same flash-page penalty in force.
 func PGOSweep(c Config) (*report.Table, error) {
 	t := &report.Table{
-		Title: "PG1: execution cycles by profile-guided pass, normalized to placement-only",
-		Header: []string{"app", "placed cycles", "inline", "superblock", "hotcold",
-			"pagepack", "stacked", "saved"},
-		Note: fmt.Sprintf("lower is better; 1.0000 = estimation-based placement under a %d-cycle page-cross penalty; saved = placed - stacked cycles",
+		Title:  "PG1: execution cycles by profile-guided pass, normalized to placement-only",
+		Header: []string{"app", "placed cycles", "inline", "pagepack", "stacked", "saved"},
+		Note: fmt.Sprintf("lower is better; 1.0000 = estimation-based placement under a %d-cycle page-cross penalty; "+
+			"each single-pass column is also the other pass's leave-one-out (stacked minus that pass); saved = placed - stacked cycles",
 			pgoPageCrossPenalty),
 	}
 

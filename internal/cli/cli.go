@@ -56,14 +56,12 @@ func BadProbability(flags ...ProbFlag) (ProbFlag, bool) {
 
 // PGOPasses holds the selection parsed from a -pgo flag.
 type PGOPasses struct {
-	Inline     bool
-	Superblock bool
-	HotCold    bool
-	PagePack   bool
+	Inline   bool
+	PagePack bool
 }
 
 // ParsePGOPasses resolves the -pgo flag the pipeline CLIs share: a
-// comma-separated subset of {inline, superblock, hotcold, pagepack}, the
+// comma-separated subset of {inline, pagepack}, the
 // shorthand "all", or "" / "none" for placement-only.
 func ParsePGOPasses(spec string) (PGOPasses, error) {
 	var p PGOPasses
@@ -74,16 +72,12 @@ func ParsePGOPasses(spec string) (PGOPasses, error) {
 		switch strings.TrimSpace(tok) {
 		case "inline":
 			p.Inline = true
-		case "superblock":
-			p.Superblock = true
-		case "hotcold":
-			p.HotCold = true
 		case "pagepack":
 			p.PagePack = true
 		case "all":
-			p = PGOPasses{Inline: true, Superblock: true, HotCold: true, PagePack: true}
+			p = PGOPasses{Inline: true, PagePack: true}
 		default:
-			return PGOPasses{}, fmt.Errorf("%q (want a comma-separated subset of inline,superblock,hotcold,pagepack, or all/none)", tok)
+			return PGOPasses{}, fmt.Errorf("%q (want a comma-separated subset of inline,pagepack, or all/none)", tok)
 		}
 	}
 	return p, nil

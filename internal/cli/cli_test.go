@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -42,22 +43,29 @@ func TestParsePGOPasses(t *testing.T) {
 	cases := []struct {
 		spec string
 		want PGOPasses
+		// bad, when set, is the token the usage error must name.
+		bad string
 	}{
-		{"", PGOPasses{}},
-		{"none", PGOPasses{}},
-		{"inline", PGOPasses{Inline: true}},
-		{"superblock,pagepack", PGOPasses{Superblock: true, PagePack: true}},
-		{"hotcold, inline", PGOPasses{Inline: true, HotCold: true}},
-		{"all", PGOPasses{Inline: true, Superblock: true, HotCold: true, PagePack: true}},
+		{spec: "", want: PGOPasses{}},
+		{spec: "none", want: PGOPasses{}},
+		{spec: "inline", want: PGOPasses{Inline: true}},
+		{spec: "pagepack, inline", want: PGOPasses{Inline: true, PagePack: true}},
+		{spec: "all", want: PGOPasses{Inline: true, PagePack: true}},
+		{spec: "inline,unroll", bad: "unroll"},
+		{spec: "superblock", bad: "superblock"},
+		{spec: "inline,hotcold", bad: "hotcold"},
 	}
 	for _, tc := range cases {
 		got, err := ParsePGOPasses(tc.spec)
+		if tc.bad != "" {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.bad)) {
+				t.Fatalf("ParsePGOPasses(%q) error = %v, want it to name %q", tc.spec, err, tc.bad)
+			}
+			continue
+		}
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePGOPasses(%q) = (%+v, %v), want %+v", tc.spec, got, err, tc.want)
 		}
-	}
-	if _, err := ParsePGOPasses("inline,unroll"); err == nil || !strings.Contains(err.Error(), "unroll") {
-		t.Fatalf("unknown pass error = %v, want it to name the token", err)
 	}
 }
 

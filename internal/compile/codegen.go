@@ -48,20 +48,14 @@ type Options struct {
 	VerifyIR bool
 	// Cost is the cycle/size table; nil means isa.DefaultCostModel().
 	Cost *isa.CostModel
-	// PGO, when non-nil, runs the profile-guided pipeline (inlining,
-	// superblocks, hot/cold splitting, page packing — see PGOOptions)
-	// between the middle-end passes and code generation. Build fills
-	// Layouts, BranchHints, and ColdBlocks from it.
+	// PGO, when non-nil, runs the profile-guided pipeline (inlining and
+	// page packing — see PGOOptions) between the middle-end passes and
+	// code generation. Build fills Layouts and BranchHints from it.
 	PGO *PGOOptions
-	// ColdBlocks names blocks to emit into the program's cold flash
-	// region, placed after every procedure's hot region. Entries for a
-	// procedure's entry block are ignored (the prologue stays hot).
-	// Normally filled by the PGO pipeline rather than by hand.
-	ColdBlocks map[string]map[ir.BlockID]bool
 
 	// pgoWeights holds the pass-transformed edge weights runPGO computed —
-	// the ones matching the CFG the backend actually emits (superblock and
-	// inlining redistribute weight over new blocks). Page packing reads
+	// the ones matching the CFG the backend actually emits (inlining
+	// redistributes weight over new blocks). Page packing reads
 	// them; PGO.Weights keeps the caller's originals.
 	pgoWeights map[string]ProcWeights
 }
@@ -96,20 +90,6 @@ type emitter struct {
 
 	callFixups []callFixup
 	nextArcID  int32
-	pending    []*pendingProc
-}
-
-// pendingProc carries what a procedure's deferred work needs: its cold
-// blocks are emitted only after every hot region (so the hot regions stay
-// contiguous in flash), and its branch fixups resolve only after that (hot
-// code jumps into cold blocks whose addresses do not exist yet).
-type pendingProc struct {
-	p         *cfg.Proc
-	fr        *frame
-	pm        *ProcMeta
-	cold      []ir.BlockID
-	fixups    []branchFixup
-	tempReads []int
 }
 
 // Generate emits M16 machine code for a lowered program.
@@ -142,8 +122,7 @@ func Generate(prog *cfg.Program, opts Options) (*Output, error) {
 	// shifts every later address, so code the packer cannot model (no
 	// profile, e.g. a run-once main whose loop is still hot) must not sit
 	// downstream of the regions it packs. Weighted procedures re-optimize
-	// their own shift in emission order, and the cold region at the very
-	// end holds only negligible weight by construction.
+	// their own shift in emission order.
 	order := prog.Procs
 	if pgo := e.opts.PGO; pgo != nil && pgo.PagePack && e.cost.PageSizeBytes > 0 {
 		order = make([]*cfg.Proc, 0, len(prog.Procs))
@@ -160,28 +139,6 @@ func Generate(prog *cfg.Program, opts Options) (*Output, error) {
 	for i, p := range order {
 		if err := e.genProc(p, i); err != nil {
 			return nil, err
-		}
-	}
-	// Cold regions live after every hot region, contiguous per procedure.
-	for _, pp := range e.pending {
-		if len(pp.cold) == 0 {
-			continue
-		}
-		pp.pm.ColdStartAddr = int32(len(e.code))
-		if err := e.emitBlocks(pp.p, pp.fr, pp.pm, pp.cold, &pp.fixups, pp.tempReads); err != nil {
-			return nil, err
-		}
-		pp.pm.ColdEndAddr = int32(len(e.code))
-	}
-	// Resolve intra-procedure branch targets — deferred program-wide
-	// because hot code may branch into a cold block emitted only above.
-	for _, pp := range e.pending {
-		for _, f := range pp.fixups {
-			addr, ok := pp.pm.BlockAddr[f.block]
-			if !ok {
-				return nil, fmt.Errorf("compile: %s: fixup to unknown block %v", pp.pm.Name, f.block)
-			}
-			e.code[f.idx].Imm = addr
 		}
 	}
 	// Resolve CALL targets.
@@ -286,32 +243,17 @@ func (e *emitter) genProc(p *cfg.Proc, procIdx int) error {
 		return err
 	}
 
-	// Partition the layout into the hot region (emitted here) and the
-	// cold run (deferred until every hot region exists). Relative order
-	// within each region follows the layout; the entry stays hot.
-	coldSet := e.opts.ColdBlocks[p.Name]
-	var hot, cold []ir.BlockID
-	for _, bid := range layout {
-		if coldSet[bid] && bid != p.Entry {
-			cold = append(cold, bid)
-		} else {
-			hot = append(hot, bid)
-		}
-	}
-
 	pm := &ProcMeta{
-		Name:          p.Name,
-		Index:         procIdx,
-		EntryBlock:    p.Entry,
-		Layout:        append(append([]ir.BlockID(nil), hot...), cold...),
-		BlockAddr:     make(map[ir.BlockID]int32),
-		BlockCycles:   make(map[ir.BlockID]uint64),
-		Edges:         make(map[EdgeKey]EdgeInfo),
-		EnterTraceID:  int32(procIdx * 2),
-		ExitTraceID:   int32(procIdx*2 + 1),
-		ArcCounters:   make(map[EdgeKey]int32),
-		ColdStartAddr: -1,
-		ColdEndAddr:   -1,
+		Name:         p.Name,
+		Index:        procIdx,
+		EntryBlock:   p.Entry,
+		Layout:       append([]ir.BlockID(nil), layout...),
+		BlockAddr:    make(map[ir.BlockID]int32),
+		BlockCycles:  make(map[ir.BlockID]uint64),
+		Edges:        make(map[EdgeKey]EdgeInfo),
+		EnterTraceID: int32(procIdx * 2),
+		ExitTraceID:  int32(procIdx*2 + 1),
+		ArcCounters:  make(map[EdgeKey]int32),
 	}
 	e.meta.Procs = append(e.meta.Procs, pm)
 	e.meta.ProcByName[p.Name] = pm
@@ -320,14 +262,12 @@ func (e *emitter) genProc(p *cfg.Proc, procIdx int) error {
 	if e.opts.FuseCompares && e.opts.Instrument != ModeEdgeCounters {
 		tempReads = tempReadCounts(p)
 	}
-	pp := &pendingProc{p: p, fr: fr, pm: pm, cold: cold, tempReads: tempReads}
-	e.pending = append(e.pending, pp)
 
+	var fixups []branchFixup
 	snapCode, snapCalls, snapArc := len(e.code), len(e.callFixups), e.nextArcID
-	if err := e.emitBlocks(p, fr, pm, hot, &pp.fixups, tempReads); err != nil {
+	if err := e.emitBlocks(p, fr, pm, layout, &fixups, tempReads); err != nil {
 		return err
 	}
-	pm.EndAddr = int32(len(e.code))
 
 	if e.pagePackWanted(p.Name) {
 		if pad := e.pagePad(snapCode, pm); pad > 0 {
@@ -337,24 +277,33 @@ func (e *emitter) genProc(p *cfg.Proc, procIdx int) error {
 			e.code = e.code[:snapCode]
 			e.callFixups = e.callFixups[:snapCalls]
 			e.nextArcID = snapArc
-			pp.fixups = pp.fixups[:0]
-			pm.BlockAddr = make(map[ir.BlockID]int32, len(hot))
-			pm.BlockCycles = make(map[ir.BlockID]uint64, len(hot))
+			fixups = fixups[:0]
+			pm.BlockAddr = make(map[ir.BlockID]int32, len(layout))
+			pm.BlockCycles = make(map[ir.BlockID]uint64, len(layout))
 			pm.Edges = make(map[EdgeKey]EdgeInfo)
 			pm.ArcCounters = make(map[EdgeKey]int32)
 			for i := 0; i < pad; i++ {
 				e.emit(isa.Instr{Op: isa.NOP})
 			}
-			if err := e.emitBlocks(p, fr, pm, hot, &pp.fixups, tempReads); err != nil {
+			if err := e.emitBlocks(p, fr, pm, layout, &fixups, tempReads); err != nil {
 				return err
 			}
-			pm.EndAddr = int32(len(e.code))
 		}
+	}
+	pm.EndAddr = int32(len(e.code))
+
+	// Resolve intra-procedure branch targets.
+	for _, f := range fixups {
+		addr, ok := pm.BlockAddr[f.block]
+		if !ok {
+			return fmt.Errorf("compile: %s: fixup to unknown block %v", p.Name, f.block)
+		}
+		e.code[f.idx].Imm = addr
 	}
 	return nil
 }
 
-// pagePackWanted reports whether the procedure's hot region should be
+// pagePackWanted reports whether the procedure's code should be
 // shifted relative to flash-page boundaries to minimize hot page straddles.
 func (e *emitter) pagePackWanted(name string) bool {
 	pgo := e.opts.PGO
@@ -371,8 +320,8 @@ func (e *emitter) pgoWeightsFor(name string) ProcWeights {
 	return e.opts.PGO.Weights[name]
 }
 
-// pagePad returns how many NOP words to insert before the hot region
-// starting at instruction index start to minimize the region's expected
+// pagePad returns how many NOP words to insert before the procedure
+// starting at instruction index start to minimize its expected
 // page-crossing traffic: every charged redirect (taken conditional branch
 // or JMP) whose source and target straddle a flash page pays the refill
 // penalty per traversal, so the objective is the profile-weighted count of
@@ -388,8 +337,7 @@ func (e *emitter) pagePad(start int, pm *ProcMeta) int {
 		return 0
 	}
 	off := e.cost.ByteOffsets(e.code)
-	// Weighted redirect events wholly inside the hot region. Targets not
-	// yet emitted are cold blocks: unknown addresses, negligible weight.
+	// Weighted redirect events inside the procedure.
 	type event struct {
 		pc, tgt int32
 		w       float64
@@ -400,10 +348,7 @@ func (e *emitter) pagePad(start int, pm *ProcMeta) int {
 		if wt == 0 {
 			continue
 		}
-		tgt, ok := pm.BlockAddr[k.To]
-		if !ok {
-			continue
-		}
+		tgt := pm.BlockAddr[k.To]
 		if info.Taken && info.BranchPC >= 0 {
 			evs = append(evs, event{pc: info.BranchPC, tgt: tgt, w: wt})
 		}
@@ -440,17 +385,17 @@ func (e *emitter) pagePad(start int, pm *ProcMeta) int {
 	return int(best / 2)
 }
 
-// emitBlocks emits one contiguous run of blocks: consecutive entries fall
-// through, the run's last block gets no implied successor, and the entry
-// block (always in the hot run) gets the procedure preamble.
-func (e *emitter) emitBlocks(p *cfg.Proc, fr *frame, pm *ProcMeta, run []ir.BlockID, branchFixups *[]branchFixup, tempReads []int) error {
+// emitBlocks emits a procedure's blocks in layout order: consecutive
+// entries fall through, the last block gets no implied successor, and the
+// entry block gets the procedure preamble.
+func (e *emitter) emitBlocks(p *cfg.Proc, fr *frame, pm *ProcMeta, layout []ir.BlockID, branchFixups *[]branchFixup, tempReads []int) error {
 	timestamps := e.opts.Instrument == ModeTimestamps
 
-	for li, bid := range run {
+	for li, bid := range layout {
 		b := p.Block(bid)
 		var next ir.BlockID = -1
-		if li+1 < len(run) {
-			next = run[li+1]
+		if li+1 < len(layout) {
+			next = layout[li+1]
 		}
 
 		if bid == p.Entry {

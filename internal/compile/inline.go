@@ -14,7 +14,7 @@ import (
 // IR instructions. Inlining removes the CALL/RET boundary overhead and the
 // argument pushes, and — because the callee body now has its own block IDs
 // inside the caller — exposes the callee's branches to the caller's layout,
-// hint, and hot/cold decisions.
+// hint, and page-packing decisions.
 //
 // Only leaf callees (no ir.Call in any block) are candidates, which rules
 // out recursion; callers are scanned in program order and re-scanned after
@@ -91,8 +91,8 @@ func procInstrCount(p *cfg.Proc) int {
 // findInlineSite returns the first qualifying call site in block-ID then
 // instruction order, or a nil callee when none remains. Multi-block callees
 // additionally need their own weight entry: without one the redistributed
-// weights would report zero flow reaching the continuation, and the
-// hot/cold pass would wrongly freeze the rest of the caller.
+// weights would report zero flow reaching the continuation, and placement
+// and page packing would treat the rest of the caller as never executed.
 func findInlineSite(p *cfg.Proc, bw map[ir.BlockID]float64, inlinable map[string]*cfg.Proc, weights map[string]ProcWeights, pgo PGOOptions, budget int) (ir.BlockID, int, *cfg.Proc) {
 	for _, b := range p.Blocks {
 		if bw[b.ID] < pgo.InlineMinWeight {

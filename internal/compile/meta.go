@@ -82,14 +82,9 @@ type Predictor interface {
 type ProcMeta struct {
 	Name  string
 	Index int
-	// EntryAddr is the CALL target; EndAddr is one past the last
-	// instruction of the procedure's hot region. Blocks split into the
-	// cold flash region lie outside [EntryAddr, EndAddr).
+	// EntryAddr is the CALL target; EndAddr is one past the procedure's
+	// last instruction.
 	EntryAddr, EndAddr int32
-	// ColdStartAddr/ColdEndAddr delimit the procedure's cold region
-	// (hot/cold splitting under PGO), emitted after every procedure's hot
-	// region; both are -1 when the procedure has no cold blocks.
-	ColdStartAddr, ColdEndAddr int32
 	// EntryBlock is the CFG entry block's ID.
 	EntryBlock ir.BlockID
 	// Layout is the block emission order used.

@@ -15,17 +15,16 @@ type ProcWeights = map[[2]ir.BlockID]float64
 // PGOOptions configures the profile-guided optimization pipeline that runs
 // between the middle-end passes and code generation. The pipeline consumes
 // the same edge weights block placement does and goes beyond placement:
-// inlining hot call sites, straightening hot traces with bounded tail
-// duplication, splitting provably-cold blocks into a shared cold flash
-// region, and packing hot regions to flash pages.
+// inlining hot call sites and packing procedures to flash pages.
 //
-// The passes transform both the CFG and the weights, then compute layouts
-// and polarity hints from the transformed weights; caller-supplied
-// Options.Layouts/BranchHints entries for weighted procedures are
-// overridden. Weights must be keyed by the block IDs of the CFG as it
-// stands after the deterministic pre-PGO pipeline (DeadBranchElim,
-// RotateLoops) — exactly the CFG an instrumented build with the same flags
-// produced, which is what makes estimated probabilities transferable.
+// Inlining transforms both the CFG and the weights; the pipeline then
+// computes layouts and polarity hints from the transformed weights, and
+// caller-supplied Options.Layouts/BranchHints entries for weighted
+// procedures are overridden. Weights must be keyed by the block IDs of the
+// CFG as it stands after the deterministic pre-PGO pipeline
+// (DeadBranchElim, RotateLoops) — exactly the CFG an instrumented build
+// with the same flags produced, which is what makes estimated
+// probabilities transferable.
 type PGOOptions struct {
 	// Weights holds per-procedure edge weights. Procedures without an
 	// entry are left untouched by every pass (no information, no
@@ -35,15 +34,8 @@ type PGOOptions struct {
 	// Inline replaces small leaf calls at hot call sites with the callee
 	// body (fresh locals and temps per site).
 	Inline bool
-	// Superblock grows traces along hottest edges and removes side
-	// entrances by duplicating the trace tail, so hot paths become
-	// straight-line fall-through code under the computed layout.
-	Superblock bool
-	// HotCold moves blocks whose expected traversal count is at most
-	// ColdMaxWeight into a cold region emitted after all hot regions.
-	HotCold bool
-	// PagePack aligns a procedure's hot region to the next flash page
-	// boundary when doing so reduces the number of pages it spans
+	// PagePack pads each weighted procedure with NOPs to the flash-page
+	// shift that minimizes its profile-weighted page-crossing redirects
 	// (requires a cost model with PageSizeBytes > 0).
 	PagePack bool
 
@@ -54,13 +46,6 @@ type PGOOptions struct {
 	InlineMaxInstrs int
 	InlineMinWeight float64
 	InlineBudget    int
-	// TailDupMaxInstrs caps the IR instructions duplicated per procedure
-	// by superblock formation (default 16).
-	TailDupMaxInstrs int
-	// ColdMaxWeight is the hot/cold threshold in expected traversals per
-	// invocation (default 0.01). Zero means the default; use a negative
-	// value to split only blocks the estimate proves never execute.
-	ColdMaxWeight float64
 }
 
 func (o *PGOOptions) withDefaults() PGOOptions {
@@ -74,23 +59,13 @@ func (o *PGOOptions) withDefaults() PGOOptions {
 	if p.InlineBudget <= 0 {
 		p.InlineBudget = 96
 	}
-	if p.TailDupMaxInstrs <= 0 {
-		p.TailDupMaxInstrs = 16
-	}
-	switch {
-	case p.ColdMaxWeight < 0:
-		p.ColdMaxWeight = 0
-	case p.ColdMaxWeight == 0:
-		p.ColdMaxWeight = 0.01
-	}
 	return p
 }
 
 // runPGO executes the profile-guided pipeline on the lowered program,
-// rewriting opts in place: the CFG is transformed, Layouts/BranchHints are
-// recomputed from the transformed weights, and ColdBlocks is filled when
-// hot/cold splitting is on. Each CFG-mutating pass is followed by the same
-// stage checking the middle-end pipeline uses.
+// rewriting opts in place: the CFG is transformed and Layouts/BranchHints
+// are recomputed from the transformed weights. Inlining is followed by the
+// same stage checking the middle-end pipeline uses.
 func runPGO(prog *cfg.Program, opts *Options) error {
 	pgo := opts.PGO.withDefaults()
 	opts.PGO = &pgo
@@ -112,12 +87,6 @@ func runPGO(prog *cfg.Program, opts *Options) error {
 			return err
 		}
 	}
-	if pgo.Superblock {
-		formSuperblocks(prog, weights, pgo)
-		if err := checkStage(prog, "pgo-superblock", *opts); err != nil {
-			return err
-		}
-	}
 
 	// Placement and polarity from the transformed weights.
 	if opts.Layouts == nil {
@@ -134,10 +103,6 @@ func runPGO(prog *cfg.Program, opts *Options) error {
 		opts.Layouts[p.Name] = layout.Optimize(p, w)
 		opts.BranchHints[p.Name] = layout.Hints(p, w)
 	}
-
-	if pgo.HotCold {
-		opts.ColdBlocks = coldSplit(prog, weights, pgo.ColdMaxWeight)
-	}
 	opts.pgoWeights = weights
 	return nil
 }
@@ -152,37 +117,4 @@ func blockWeights(p *cfg.Proc, w ProcWeights) map[ir.BlockID]float64 {
 		bw[e.To] += w[[2]ir.BlockID{e.From, e.To}]
 	}
 	return bw
-}
-
-// coldSplit classifies blocks whose expected traversal count is at most
-// maxW as cold. The entry block is never cold (the prologue lives there),
-// and a procedure where every non-entry block would be cold is left alone:
-// such a profile carries no contrast, and acting on it would only move the
-// whole body out of line.
-func coldSplit(prog *cfg.Program, weights map[string]ProcWeights, maxW float64) map[string]map[ir.BlockID]bool {
-	out := make(map[string]map[ir.BlockID]bool)
-	for _, p := range prog.Procs {
-		w, ok := weights[p.Name]
-		if !ok {
-			continue
-		}
-		bw := blockWeights(p, w)
-		cold := make(map[ir.BlockID]bool)
-		for _, b := range p.Blocks {
-			if b.ID == p.Entry {
-				continue
-			}
-			if bw[b.ID] <= maxW {
-				cold[b.ID] = true
-			}
-		}
-		if len(cold) == 0 || len(cold) == len(p.Blocks)-1 {
-			continue
-		}
-		out[p.Name] = cold
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

@@ -70,8 +70,8 @@ type Options struct {
 	// procedure (ctlint -costs).
 	CostReport bool
 	// PageReport additionally emits an informational flash-page report per
-	// procedure (ctlint -pages): pages occupied, avoidable page straddles,
-	// and cold-split candidate blocks under static branch priors.
+	// procedure (ctlint -pages): pages occupied and avoidable page
+	// straddles.
 	PageReport bool
 }
 

@@ -3,27 +3,14 @@ package lint
 import (
 	"fmt"
 
-	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
-	"codetomo/internal/ir"
-	"codetomo/internal/layout"
 	"codetomo/internal/minic"
-	"codetomo/internal/profile"
 )
-
-// staticColdMaxWeight is the candidate threshold for the static cold-split
-// report, in expected traversals per invocation under Ball–Larus branch
-// priors. It is deliberately looser than the optimizer's measured-profile
-// threshold (compile.PGOOptions.ColdMaxWeight, 0.01): priors are diffuse,
-// so a block they already push well below one traversal per ten calls is
-// worth surfacing as a candidate even without profile data.
-const staticColdMaxWeight = 0.1
 
 // lintPages emits the opt-in flash-page report (ctlint -pages): for every
 // procedure, how many flash pages its code occupies — flagging procedures
 // that straddle more pages than their size requires, which page-aware
-// placement could fix — and which blocks static branch priors mark as
-// cold-split candidates for the hot/cold splitting pass.
+// placement could fix.
 func (l *linter) lintPages(f *minic.File, out *compile.Output) {
 	cost := out.Meta.Cost
 	ps := cost.PageSizeBytes
@@ -55,62 +42,5 @@ func (l *linter) lintPages(f *minic.File, out *compile.Output) {
 			msg += fmt.Sprintf("; straddles %d more page(s) than its size needs", spanned-minimum)
 		}
 		l.add(pos, SevInfo, "page-info", msg)
-
-		if cold := staticColdBlocks(p); len(cold) > 0 {
-			l.add(pos, SevInfo, "cold-split",
-				fmt.Sprintf("%q: %s cold under static branch priors (<= %g expected traversals per call); hot/cold splitting would keep %s off the hot path's pages",
-					p.Name, blockList(p, cold), staticColdMaxWeight, itThem(len(cold))))
-		}
 	}
-}
-
-// staticColdBlocks mirrors the optimizer's cold-split classification, but
-// seeded from Ball–Larus static priors instead of estimated probabilities:
-// non-entry blocks whose expected traversal count per invocation falls at
-// or below staticColdMaxWeight. Procedures where every non-entry block
-// would qualify are skipped — a contrast-free prior says nothing about
-// which half to move.
-func staticColdBlocks(p *cfg.Proc) []ir.BlockID {
-	w := layout.FromProbs(p, profile.BallLarusProbs(p))
-	bw := make(map[ir.BlockID]float64, len(p.Blocks))
-	bw[p.Entry] = 1
-	for _, e := range p.Edges() {
-		bw[e.To] += w[[2]ir.BlockID{e.From, e.To}]
-	}
-	var cold []ir.BlockID
-	for _, b := range p.Blocks {
-		if b.ID != p.Entry && bw[b.ID] <= staticColdMaxWeight {
-			cold = append(cold, b.ID)
-		}
-	}
-	if len(cold) == len(p.Blocks)-1 {
-		return nil
-	}
-	return cold
-}
-
-// blockList names blocks for a diagnostic, preferring labels over bare IDs.
-func blockList(p *cfg.Proc, blocks []ir.BlockID) string {
-	s := "block "
-	if len(blocks) > 1 {
-		s = "blocks "
-	}
-	for i, b := range blocks {
-		if i > 0 {
-			s += ", "
-		}
-		if lbl := p.Block(b).Label; lbl != "" {
-			s += lbl
-		} else {
-			s += fmt.Sprintf("b%d", b)
-		}
-	}
-	return s
-}
-
-func itThem(n int) string {
-	if n == 1 {
-		return "it"
-	}
-	return "them"
 }

@@ -35,14 +35,8 @@ func buildRanges(meta *compile.Meta) []blockRange {
 		}
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i].addr < blocks[j].addr })
 		for i, b := range blocks {
-			// A block's range is capped by its own region's end: EndAddr
-			// for the hot region, ColdEndAddr for blocks split into the
-			// cold region (which lie at or beyond ColdStartAddr).
 			end := pm.EndAddr
-			if pm.ColdStartAddr >= 0 && b.addr >= pm.ColdStartAddr {
-				end = pm.ColdEndAddr
-			}
-			if i+1 < len(blocks) && blocks[i+1].addr < end {
+			if i+1 < len(blocks) {
 				end = blocks[i+1].addr
 			}
 			rs = append(rs, blockRange{start: b.addr, end: end, proc: pm.Name, block: b.id})

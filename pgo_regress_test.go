@@ -8,7 +8,7 @@ import (
 
 // TestPGONeverRegressesPastPlacement is the end-to-end timing regression
 // gate for the profile-guided passes: over the whole benchmark corpus,
-// the full PGO stack (inline + superblock + hot/cold + page packing)
+// the full PGO stack (inline + page packing)
 // under a flash-page penalty must never end up slower than placement
 // alone on the identical workload. Output equality is already enforced
 // inside the pipeline, so each Run is also a semantics check.
@@ -32,8 +32,6 @@ func TestPGONeverRegressesPastPlacement(t *testing.T) {
 			}
 			pgoCfg := base
 			pgoCfg.PGOInline = true
-			pgoCfg.PGOSuperblock = true
-			pgoCfg.PGOHotCold = true
 			pgoCfg.PGOPagePack = true
 			pgod, err := Run(src, pgoCfg)
 			if err != nil {
@@ -78,8 +76,6 @@ func main() {
 	}
 	pgoCfg := base
 	pgoCfg.PGOInline = true
-	pgoCfg.PGOSuperblock = true
-	pgoCfg.PGOHotCold = true
 	pgoCfg.PGOPagePack = true
 	pgod, err := Run(src, pgoCfg)
 	if err != nil {
