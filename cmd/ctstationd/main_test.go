@@ -147,7 +147,11 @@ func TestStationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := station.PushUploads(tcpAddr, uploads, station.PushConfig{Retries: 3})
+	var frames [][]byte
+	for _, up := range uploads {
+		frames = append(frames, up.Frames...)
+	}
+	st, err := station.PushFrames(tcpAddr, frames, station.PushConfig{Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

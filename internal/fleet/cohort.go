@@ -45,6 +45,9 @@ type MoteResult struct {
 	// Frames are the link's deliveries in arrival order; nil unless
 	// SimConfig.KeepFrames retained them for wire forwarding.
 	Frames [][]byte
+	// BranchStats is the simulator's ground truth for this mote (a real
+	// deployment would not have it); nil unless SimConfig.KeepFrames.
+	BranchStats map[int32]*mote.BranchStat
 }
 
 // streamWorker is the per-task scratch the engine recycles across cohorts:
@@ -109,6 +112,13 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	}
 	if cfg.KeepFrames {
 		res.Frames = frames
+		// The machine's map points into its dense table, which the next
+		// mote's Reset zeroes in place: copy the counts out by value.
+		res.BranchStats = w.m.BranchStats()
+		for pc, st := range res.BranchStats {
+			c := *st
+			res.BranchStats[pc] = &c
+		}
 	}
 	return res, nil
 }
@@ -228,9 +238,8 @@ func SimulateStreamOn(pool *Pool, cfg SimConfig, specs []MoteSpec, sink func(fir
 }
 
 // SimulateStream materializes the streaming pipeline's per-mote results in
-// spec order alongside the merged oracle — the differential-test
-// comparator for SimulateStreamOn, and a convenience for fleets small
-// enough to hold.
+// spec order alongside the merged oracle, for fleets small enough to hold
+// (cfg.Workers bounds the pool, default 4).
 func SimulateStream(cfg SimConfig, specs []MoteSpec) ([]MoteResult, []mote.BranchStat, error) {
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -10,14 +10,65 @@ import (
 
 	"codetomo/internal/isa"
 	"codetomo/internal/mote"
+	"codetomo/internal/trace"
 )
+
+// materialize is the differential reference for the streaming engine: a
+// sequential runner that builds a fresh machine per mote, runs one mote at
+// a time, keeps every mote's frames and ground truth, and merges the fleet
+// oracle through the map view. It shares only the per-mote building blocks
+// (moteConfig, runMachine, uplinkMote) with SimulateStreamOn — not machine
+// reuse, cohort scheduling, or the dense oracle fold.
+func materialize(t testing.TB, cfg SimConfig, specs []MoteSpec) ([]MoteResult, map[int32]*mote.BranchStat) {
+	t.Helper()
+	out := make([]MoteResult, len(specs))
+	for i, spec := range specs {
+		mc, err := moteConfig(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mote.New(cfg.Prog, mc)
+		if err := runMachine(m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		frames, ls, ast, events, err := uplinkMote(m, cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ivs, ust := reassemble(t, spec.ID, frames)
+		durs := make(map[int][]float64)
+		for p, ticks := range trace.ExclusiveByProc(ivs) {
+			durs[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
+		}
+		var gross uint64
+		for _, iv := range ivs {
+			gross += iv.GrossTicks()
+		}
+		out[i] = MoteResult{
+			Spec:         spec,
+			Link:         ls,
+			ARQ:          ast,
+			Uplink:       ust,
+			EventsLogged: events,
+			Stats:        m.Stats(),
+			GrossTicks:   gross,
+			Durations:    durs,
+			Frames:       frames,
+			BranchStats:  m.BranchStats(),
+		}
+	}
+	return out, MergeBranchStats(out)
+}
 
 // TestStreamMatchesMaterialized is the streaming pipeline's differential
 // acceptance: on a hostile channel (loss, duplication, reordering,
 // corruption, ARQ), every per-mote figure the streaming path produces —
-// frames, link/ARQ/uplink accounting, durations, machine stats — must be
-// bit-identical to the retained materializing path, and the dense fleet
-// oracle must match the map-merged one.
+// frames, link/ARQ/uplink accounting, durations, gross ticks, machine
+// stats, ground-truth branch counts — must be bit-identical to the
+// fresh-machine sequential reference, and the dense fleet oracle must
+// match the map-merged one. Cohorts of 2 on several workers force machine
+// reuse within and across cohorts, so per-mote branch counts that alias
+// the reused machine's table (zeroed by the next mote's Reset) fail here.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	cfg := buildFleet(t)
 	cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
@@ -27,10 +78,10 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	cfg.Cohort = 2 // force multiple cohorts and machine reuse
 	specs := fleetSpecs(7)
 
-	want, err := SimulateReassembledOn(NewPool(3), cfg, specs)
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Workers < 2 {
+		t.Fatalf("Workers = %d; the differential needs concurrent cohorts", cfg.Workers)
 	}
+	want, wantOracle := materialize(t, cfg, specs)
 	got, dense, err := SimulateStream(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -58,24 +109,19 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		if !reflect.DeepEqual(g.Durations, w.Durations) {
 			t.Fatalf("mote %d: durations diverged", i)
 		}
-		var wantGross uint64
-		for _, iv := range w.Intervals {
-			wantGross += iv.GrossTicks()
+		if g.GrossTicks != w.GrossTicks {
+			t.Fatalf("mote %d: gross ticks %d, want %d", i, g.GrossTicks, w.GrossTicks)
 		}
-		if g.GrossTicks != wantGross {
-			t.Fatalf("mote %d: gross ticks %d, want %d", i, g.GrossTicks, wantGross)
+		if !reflect.DeepEqual(g.BranchStats, w.BranchStats) {
+			t.Fatalf("mote %d: branch stats diverged from a fresh machine's (aliasing the reused machine?)", i)
 		}
 	}
-	wantOracle := MergeBranchStatsProcessed(want)
 	gotOracle := DenseBranchStats(dense)
-	if len(gotOracle) != len(wantOracle) {
-		t.Fatalf("oracle has %d branches, want %d", len(gotOracle), len(wantOracle))
+	if !reflect.DeepEqual(gotOracle, wantOracle) {
+		t.Fatalf("dense oracle has %d branches, map-merged reference %d, or counts differ", len(gotOracle), len(wantOracle))
 	}
-	for pc, w := range wantOracle {
-		g := gotOracle[pc]
-		if g == nil || *g != *w {
-			t.Fatalf("oracle pc %d: %+v, want %+v", pc, g, w)
-		}
+	if !reflect.DeepEqual(MergeBranchStats(got), gotOracle) {
+		t.Fatal("per-mote branch stats do not sum to the dense oracle")
 	}
 }
 

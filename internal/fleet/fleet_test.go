@@ -65,9 +65,24 @@ func fleetSpecs(n int) []MoteSpec {
 	return specs
 }
 
+// reassemble runs one mote's delivered frames through the loss-tolerant
+// reassembler, as the base station would, and returns the surviving
+// invocation intervals with the uplink accounting.
+func reassemble(t testing.TB, id uint16, frames [][]byte) ([]trace.Interval, trace.UplinkStats) {
+	t.Helper()
+	r := trace.NewReassembler(id)
+	for _, f := range frames {
+		if err := r.AddFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.Recover()
+}
+
 func TestSimulateLossless(t *testing.T) {
 	cfg := buildFleet(t)
-	uploads, err := Simulate(cfg, fleetSpecs(3))
+	cfg.KeepFrames = true
+	uploads, _, err := SimulateStream(cfg, fleetSpecs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +99,7 @@ func TestSimulateLossless(t *testing.T) {
 		if up.Link.Dropped != 0 || up.Link.Duplicated != 0 {
 			t.Fatalf("lossless link mangled mote %d: %+v", i, up.Link)
 		}
-		ivs, st, err := Reassemble(up)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ivs, st := reassemble(t, up.Spec.ID, up.Frames)
 		if st.InvocationsDiscarded != 0 || len(ivs) == 0 {
 			t.Fatalf("mote %d: %d intervals, %d discarded", i, len(ivs), st.InvocationsDiscarded)
 		}
@@ -109,13 +121,15 @@ func TestSimulateLossless(t *testing.T) {
 func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 	cfg := buildFleet(t)
 	cfg.Link.DropProb, cfg.Link.DupProb, cfg.Link.ReorderProb = 0.2, 0.1, 0.1
+	cfg.KeepFrames = true
+	cfg.Cohort = 1 // one mote per task, so the worker count moves scheduling
 	specs := fleetSpecs(4)
 
-	var runs [][]MoteUpload
+	var runs [][]MoteResult
 	for _, workers := range []int{1, 4} {
 		c := cfg
 		c.Workers = workers
-		ups, err := Simulate(c, specs)
+		ups, _, err := SimulateStream(c, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +155,7 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 func TestSimulateRejectsStatefulPredictor(t *testing.T) {
 	cfg := buildFleet(t)
 	cfg.Mote.Predictor = mote.NewBimodal(6)
-	if _, err := Simulate(cfg, fleetSpecs(2)); err == nil {
+	if _, _, err := SimulateStream(cfg, fleetSpecs(2)); err == nil {
 		t.Fatal("stateful predictor accepted")
 	}
 }
@@ -150,9 +164,35 @@ func TestSimulateRejectsUnknownWorkload(t *testing.T) {
 	cfg := buildFleet(t)
 	specs := fleetSpecs(2)
 	specs[1].Workload = "nonesuch"
-	if _, err := Simulate(cfg, specs); err == nil {
+	if _, _, err := SimulateStream(cfg, specs); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+}
+
+// transmitPackets is the packet-level view of the link: drops first, then
+// duplication, then adjacent swaps among the survivors, with the draws in
+// a fixed order per packet. Bit corruption is a property of the byte
+// stream and is not modeled here. With CorruptProb = 0, TransmitFrames
+// must make exactly the same draws, so this is its reference.
+func transmitPackets(lc LinkConfig, pkts []trace.Packet, rng *stats.RNG) ([]trace.Packet, LinkStats) {
+	st := LinkStats{Sent: len(pkts)}
+	out := make([]trace.Packet, 0, len(pkts))
+	for _, p := range pkts {
+		if rng.Bernoulli(lc.DropProb) {
+			st.Dropped++
+			continue
+		}
+		out = append(out, p)
+		if rng.Bernoulli(lc.DupProb) {
+			st.Duplicated++
+			out = append(out, p)
+		}
+	}
+	st.Reordered = reorderPass(out, lc.ReorderProb, rng)
+	if len(out) == 0 {
+		return nil, st
+	}
+	return out, st
 }
 
 func TestTransmitLossyDeterministic(t *testing.T) {
@@ -160,8 +200,8 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	pkts := trace.Packetize(1, events, 4)
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
 
-	out1, st1 := lc.Transmit(pkts, stats.NewRNG(5))
-	out2, st2 := lc.Transmit(pkts, stats.NewRNG(5))
+	out1, st1 := transmitPackets(lc, pkts, stats.NewRNG(5))
+	out2, st2 := transmitPackets(lc, pkts, stats.NewRNG(5))
 	if st1 != st2 || !reflect.DeepEqual(out1, out2) {
 		t.Fatal("same seed produced different channels")
 	}
@@ -176,7 +216,7 @@ func TestTransmitLossyDeterministic(t *testing.T) {
 	}
 
 	// A perfect channel is the identity.
-	out3, st3 := LinkConfig{}.Transmit(pkts, stats.NewRNG(5))
+	out3, st3 := transmitPackets(LinkConfig{}, pkts, stats.NewRNG(5))
 	if !reflect.DeepEqual(out3, pkts) || st3.Dropped+st3.Duplicated+st3.Reordered != 0 {
 		t.Fatal("perfect channel altered the stream")
 	}
@@ -267,7 +307,7 @@ func TestTransmitFramesMatchesTransmit(t *testing.T) {
 		frames[i] = f
 	}
 	lc := LinkConfig{DropProb: 0.3, DupProb: 0.2, ReorderProb: 0.2}
-	outP, stP := lc.Transmit(pkts, stats.NewRNG(5))
+	outP, stP := transmitPackets(lc, pkts, stats.NewRNG(5))
 	outF, stF := lc.TransmitFrames(frames, stats.NewRNG(5))
 	if stP != stF {
 		t.Fatalf("stats diverge: packets %+v, frames %+v", stP, stF)
@@ -371,7 +411,8 @@ func TestLinkConfigValidate(t *testing.T) {
 
 func TestMergeBranchStats(t *testing.T) {
 	cfg := buildFleet(t)
-	uploads, err := Simulate(cfg, fleetSpecs(2))
+	cfg.KeepFrames = true
+	uploads, _, err := SimulateStream(cfg, fleetSpecs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +463,7 @@ func TestBatchStreams(t *testing.T) {
 
 // TestEstimateStreams drives the full fleet path — simulate, uplink,
 // reassemble, batch, estimate in parallel — and checks the outcome is
-// well-formed and reproducible.
+// well-formed and reproducible across pool sizes.
 func TestEstimateStreams(t *testing.T) {
 	out, err := compile.Build(testProgram, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
@@ -430,21 +471,14 @@ func TestEstimateStreams(t *testing.T) {
 	}
 	cfg := buildFleet(t)
 	cfg.Prog = out.Code
-	uploads, err := Simulate(cfg, fleetSpecs(3))
+	uploads, _, err := SimulateStream(cfg, fleetSpecs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pm := out.Meta.ProcByName["work"]
 	perMote := make([]map[int][]float64, len(uploads))
 	for i, up := range uploads {
-		ivs, _, err := Reassemble(up)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byProc := trace.ExclusiveByProc(ivs)
-		perMote[i] = map[int][]float64{
-			pm.Index: trace.DurationsCycles(byProc[pm.Index], 8),
-		}
+		perMote[i] = map[int][]float64{pm.Index: up.Durations[pm.Index]}
 	}
 	rounds := BatchStreams(perMote, 4)
 	model, err := tomography.NewModel(out, "work", mote.StaticNotTaken{}, markov.DefaultEnumerateOptions())
@@ -454,7 +488,7 @@ func TestEstimateStreams(t *testing.T) {
 	streams := []ProcStream{{Name: "work", Model: model, Batches: rounds[pm.Index]}}
 	est := tomography.EM{Config: tomography.EMConfig{KernelHalfWidth: 8}}
 
-	o1, err := EstimateStreams(streams, est, 1e-3, 2, 4)
+	o1, err := EstimateStreamsOn(NewPool(4), streams, est, 1e-3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,54 +506,12 @@ func TestEstimateStreams(t *testing.T) {
 		t.Fatalf("no estimation effort recorded: %+v", o1[0])
 	}
 	// A different worker bound must not change the outcome.
-	o2, err := EstimateStreams(streams, est, 1e-3, 2, 1)
+	o2, err := EstimateStreamsOn(NewPool(1), streams, est, 1e-3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(o1, o2) {
 		t.Fatal("streaming estimation is not reproducible")
-	}
-}
-
-// TestSimulateReassembledMatchesTwoStep pins the fused per-mote pool task
-// (simulate + reassemble + duration extraction in one slot) to the
-// two-step Simulate-then-Reassemble path, across different pool sizes.
-func TestSimulateReassembledMatchesTwoStep(t *testing.T) {
-	cfg := buildFleet(t)
-	cfg.Link.DropProb = 0.1
-	specs := fleetSpecs(3)
-
-	uploads, err := Simulate(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		fused, err := SimulateReassembledOn(NewPool(workers), cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fused) != len(uploads) {
-			t.Fatalf("workers=%d: %d uploads, want %d", workers, len(fused), len(uploads))
-		}
-		for i, pu := range fused {
-			ivs, ust, err := Reassemble(uploads[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(pu.MoteUpload, uploads[i]) {
-				t.Fatalf("workers=%d mote %d: upload differs from two-step path", workers, i)
-			}
-			if !reflect.DeepEqual(pu.Intervals, ivs) || !reflect.DeepEqual(pu.Uplink, ust) {
-				t.Fatalf("workers=%d mote %d: reassembly differs from two-step path", workers, i)
-			}
-			want := make(map[int][]float64)
-			for p, ticks := range trace.ExclusiveByProc(ivs) {
-				want[p] = trace.DurationsCycles(ticks, cfg.Mote.TickDiv)
-			}
-			if !reflect.DeepEqual(pu.Durations, want) {
-				t.Fatalf("workers=%d mote %d: durations differ from two-step path", workers, i)
-			}
-		}
 	}
 }
 

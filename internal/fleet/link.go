@@ -95,40 +95,11 @@ func (st *LinkStats) Add(o LinkStats) {
 	st.Reordered += o.Reordered
 }
 
-// Transmit pushes a decoded packet stream through the channel: drops
-// first, then duplication, then adjacent swaps among the survivors. The
-// draws happen in a fixed order per packet so the outcome is a
-// deterministic function of the RNG seed and the stream. Bit corruption is
-// a property of the byte stream and is not modeled here — use
-// TransmitFrames for the physical channel.
-func (lc LinkConfig) Transmit(pkts []trace.Packet, rng *stats.RNG) ([]trace.Packet, LinkStats) {
-	st := LinkStats{Sent: len(pkts)}
-	out := make([]trace.Packet, 0, len(pkts))
-	for _, p := range pkts {
-		if rng.Bernoulli(lc.DropProb) {
-			st.Dropped++
-			continue
-		}
-		out = append(out, p)
-		if rng.Bernoulli(lc.DupProb) {
-			st.Duplicated++
-			out = append(out, p)
-		}
-	}
-	st.Reordered = reorderPass(out, lc.ReorderProb, rng)
-	if len(out) == 0 {
-		return nil, st
-	}
-	return out, st
-}
-
 // TransmitFrames pushes raw frames through the channel. Per frame: a drop
 // draw, then (only when CorruptProb > 0) a corruption draw flipping one
 // random bit, then a duplication draw — the duplicate gets its own
 // corruption draw, since it is a separate radio transmission — and
-// finally adjacent swaps among the survivors. With CorruptProb = 0 the
-// draw sequence is identical to Transmit's, so the packet-level and
-// byte-level views of the channel agree.
+// finally adjacent swaps among the survivors.
 func (lc LinkConfig) TransmitFrames(frames [][]byte, rng *stats.RNG) ([][]byte, LinkStats) {
 	st := LinkStats{Sent: len(frames)}
 	out := make([][]byte, 0, len(frames))

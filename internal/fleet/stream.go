@@ -80,20 +80,11 @@ type ProcOutcome struct {
 	Confident bool
 }
 
-// EstimateStreams runs streaming estimation for every procedure on a
-// bounded worker pool (workers <= 0 selects one per stream) and returns
-// outcomes in input order. Each stream is a pure function of its input, so
-// the result is independent of worker count and scheduling.
-func EstimateStreams(streams []ProcStream, est tomography.Estimator, tol float64, patience, workers int) ([]ProcOutcome, error) {
-	if workers <= 0 {
-		workers = len(streams)
-	}
-	return EstimateStreamsOn(NewPool(workers), streams, est, tol, patience)
-}
-
-// EstimateStreamsOn is EstimateStreams running on a caller-owned pool, so
-// estimation can share the campaign's concurrency bound with simulation
-// and model construction instead of claiming its own.
+// EstimateStreamsOn runs streaming estimation for every procedure on a
+// caller-owned pool, so estimation can share the campaign's concurrency
+// bound with simulation and model construction instead of claiming its
+// own. Outcomes come back in input order; each stream is a pure function
+// of its input, so the result is independent of pool size and scheduling.
 func EstimateStreamsOn(pool *Pool, streams []ProcStream, est tomography.Estimator, tol float64, patience int) ([]ProcOutcome, error) {
 	outcomes := make([]ProcOutcome, len(streams))
 	errs := make([]error, len(streams))

@@ -3,14 +3,13 @@ package station_test
 import (
 	"testing"
 
-	"codetomo/internal/fleet"
 	"codetomo/internal/station"
 )
 
 // benchFleet caches one simulated deployment across benchmark runs.
-var benchFleet []fleet.MoteUpload
+var benchFleet [][][]byte
 
-func benchUploads(b *testing.B) []fleet.MoteUpload {
+func benchUploads(b *testing.B) [][][]byte {
 	b.Helper()
 	if benchFleet == nil {
 		benchFleet = simulateFleet(b, 4)
@@ -21,14 +20,10 @@ func benchUploads(b *testing.B) []fleet.MoteUpload {
 // BenchmarkIngest measures the raw frame path: decode, WAL-less route,
 // shard enqueue.
 func BenchmarkIngest(b *testing.B) {
-	uploads := benchUploads(b)
-	var frames [][]byte
+	frames := allFrames(benchUploads(b))
 	var bytes int
-	for _, up := range uploads {
-		frames = append(frames, up.Frames...)
-		for _, f := range up.Frames {
-			bytes += len(f)
-		}
+	for _, f := range frames {
+		bytes += len(f)
 	}
 	b.SetBytes(int64(bytes))
 	b.ResetTimer()
@@ -55,9 +50,7 @@ func BenchmarkEpochCut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := newStation(b, station.Config{Shards: 2})
-		if _, _, err := s.IngestUploads(uploads); err != nil {
-			b.Fatal(err)
-		}
+		ingestAll(b, s, uploads, false)
 		b.StartTimer()
 		if _, err := s.CutEpoch(); err != nil {
 			b.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"codetomo/internal/fleet"
 )
 
 // PushStats is the accounting for one client push session.
@@ -53,16 +51,11 @@ func (c PushConfig) withDefaults() PushConfig {
 	return c
 }
 
-// Push uploads raw frames to a station's TCP ingest with a stop-and-wait
-// ARQ and the default ACK deadline: each frame is retransmitted on NAK up
-// to retries extra times (retries < 0 selects the default of 3) before
-// being abandoned. Transport errors — a dead station mid-stream, or an
-// ACK that never arrives — abort the session; per-frame NAKs do not.
-func Push(addr string, frames [][]byte, retries int) (PushStats, error) {
-	return PushFrames(addr, frames, PushConfig{Retries: retries})
-}
-
-// PushFrames is Push with the session fully configured.
+// PushFrames uploads raw frames to a station's TCP ingest over one push
+// session with a stop-and-wait ARQ: each frame is retransmitted on NAK up
+// to cfg.Retries extra times before being abandoned. Transport errors — a
+// dead station mid-stream, or an ACK that never arrives within
+// cfg.AckTimeout — abort the session; per-frame NAKs do not.
 func PushFrames(addr string, frames [][]byte, cfg PushConfig) (PushStats, error) {
 	s, err := DialPush(addr, cfg)
 	if err != nil {
@@ -105,16 +98,6 @@ func (s *PushSession) Stats() PushStats { return s.st }
 
 // Close releases the connection.
 func (s *PushSession) Close() error { return s.conn.Close() }
-
-// PushUploads is PushFrames over a simulated fleet's deliveries, in mote
-// order — the loopback demo's client half.
-func PushUploads(addr string, uploads []fleet.MoteUpload, cfg PushConfig) (PushStats, error) {
-	var frames [][]byte
-	for _, up := range uploads {
-		frames = append(frames, up.Frames...)
-	}
-	return PushFrames(addr, frames, cfg)
-}
 
 // deadlineConn is the slice of net.Conn the push loop needs to bound ACK
 // waits; the io.ReadWriter form keeps in-memory pipes testable.

@@ -40,10 +40,10 @@ func main() {
 	debug(acc);
 }`
 
-// simulateFleet runs a small deployment and returns the per-mote uploads
-// (frames as the channel delivered them). Pure function of motes, so every
-// test sees the identical traffic.
-func simulateFleet(t testing.TB, motes int) []fleet.MoteUpload {
+// simulateFleet runs a small deployment and returns each mote's frames as
+// the channel delivered them, in mote order. Pure function of motes, so
+// every test sees the identical traffic.
+func simulateFleet(t testing.TB, motes int) [][][]byte {
 	t.Helper()
 	prof, err := compile.Build(testProgram, compile.Options{Instrument: compile.ModeTimestamps})
 	if err != nil {
@@ -60,17 +60,31 @@ func simulateFleet(t testing.TB, motes int) []fleet.MoteUpload {
 	}
 	mc := mote.DefaultConfig()
 	mc.TickDiv = 8
-	uploads, err := fleet.Simulate(fleet.SimConfig{
-		Prog:      prof.Code,
-		Mote:      mc,
-		MaxCycles: 2_000_000_000,
-		Workers:   2,
-		Link:      fleet.LinkConfig{EventsPerPacket: 16, Seed: 99},
+	results, _, err := fleet.SimulateStream(fleet.SimConfig{
+		Prog:       prof.Code,
+		Mote:       mc,
+		MaxCycles:  2_000_000_000,
+		Workers:    2,
+		Link:       fleet.LinkConfig{EventsPerPacket: 16, Seed: 99},
+		KeepFrames: true,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return uploads
+	perMote := make([][][]byte, len(results))
+	for i := range results {
+		perMote[i] = results[i].Frames
+	}
+	return perMote
+}
+
+// allFrames concatenates every mote's frames in mote order.
+func allFrames(perMote [][][]byte) [][]byte {
+	var frames [][]byte
+	for _, fs := range perMote {
+		frames = append(frames, fs...)
+	}
+	return frames
 }
 
 func newStation(t testing.TB, cfg station.Config) *station.Server {
@@ -85,18 +99,18 @@ func newStation(t testing.TB, cfg station.Config) *station.Server {
 
 // splitFrames cuts each mote's delivery in half: the two epoch windows
 // every determinism test feeds.
-func splitFrames(uploads []fleet.MoteUpload) (first, second [][][]byte) {
-	first = make([][][]byte, len(uploads))
-	second = make([][][]byte, len(uploads))
-	for i, up := range uploads {
-		mid := len(up.Frames) / 2
-		first[i] = up.Frames[:mid]
-		second[i] = up.Frames[mid:]
+func splitFrames(perMote [][][]byte) (first, second [][][]byte) {
+	first = make([][][]byte, len(perMote))
+	second = make([][][]byte, len(perMote))
+	for i, frames := range perMote {
+		mid := len(frames) / 2
+		first[i] = frames[:mid]
+		second[i] = frames[mid:]
 	}
 	return first, second
 }
 
-func ingestAll(t *testing.T, s *station.Server, perMote [][][]byte, interleave bool) {
+func ingestAll(t testing.TB, s *station.Server, perMote [][][]byte, interleave bool) {
 	t.Helper()
 	if !interleave {
 		for _, frames := range perMote {
@@ -231,13 +245,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	uploads := simulateFleet(t, 2)
 	s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
-	for _, up := range uploads {
-		for _, f := range up.Frames {
-			if err := s1.IngestFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	ingestAll(t, s1, uploads, false)
 	if _, err := s1.CutEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,16 +282,13 @@ func TestServeTCPAckNak(t *testing.T) {
 	defer l.Close()
 	go s.ServeTCP(l)
 
-	var frames [][]byte
-	for _, up := range uploads {
-		frames = append(frames, up.Frames...)
-	}
+	frames := allFrames(uploads)
 	// Damage one frame's CRC: every transmission of it will NAK.
 	bad := append([]byte(nil), frames[0]...)
 	bad[len(bad)-1] ^= 0xff
 	frames = append(frames, bad)
 
-	st, err := station.Push(l.Addr().String(), frames, 2)
+	st, err := station.PushFrames(l.Addr().String(), frames, station.PushConfig{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +331,7 @@ func TestServeUDP(t *testing.T) {
 	}
 	defer conn.Close()
 	sent := 0
-	for _, f := range uploads[0].Frames {
+	for _, f := range uploads[0] {
 		if _, err := conn.Write(f); err != nil {
 			t.Fatal(err)
 		}
@@ -347,9 +352,7 @@ func TestHTTPAPI(t *testing.T) {
 	uploads := simulateFleet(t, 4)
 	s := newStation(t, station.Config{Shards: 2})
 	defer s.Close()
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestAll(t, s, uploads, false)
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -427,9 +430,7 @@ func TestAutoEpochCut(t *testing.T) {
 	uploads := simulateFleet(t, 2)
 	s := newStation(t, station.Config{Shards: 2, EpochFrames: 8})
 	defer s.Close()
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestAll(t, s, uploads, false)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Epoch() == 0 {
 		if time.Now().After(deadline) {
@@ -445,13 +446,11 @@ func TestCloseFlushesFinalEpoch(t *testing.T) {
 	dir := t.TempDir()
 	uploads := simulateFleet(t, 2)
 	s := newStation(t, station.Config{Shards: 2, DataDir: dir})
-	if _, _, err := s.IngestUploads(uploads); err != nil {
-		t.Fatal(err)
-	}
+	ingestAll(t, s, uploads, false)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.IngestFrame(uploads[0].Frames[0]); err != station.ErrClosed {
+	if err := s.IngestFrame(uploads[0][0]); err != station.ErrClosed {
 		t.Fatalf("ingest after close = %v, want ErrClosed", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "latest.json"))
@@ -482,7 +481,7 @@ func TestIngestRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{nil, []byte("CTTX"), uploads[0].Frames[0][:5], lf} {
+	for _, bad := range [][]byte{nil, []byte("CTTX"), uploads[0][0][:5], lf} {
 		if err := s.IngestFrame(bad); err == nil {
 			t.Fatalf("frame %q accepted, want rejection", bad)
 		}
@@ -497,7 +496,7 @@ func TestIngestRejects(t *testing.T) {
 // configured ACK deadline expires.
 func TestPushAckTimeout(t *testing.T) {
 	uploads := simulateFleet(t, 1)
-	frames := uploads[0].Frames
+	frames := uploads[0]
 	if len(frames) == 0 {
 		t.Fatal("fleet produced no frames")
 	}
@@ -540,11 +539,7 @@ func TestPushAckTimeout(t *testing.T) {
 // surviving distinct frames exactly once, and the duplicates surface in
 // the metrics instead of double-feeding the reassemblers.
 func TestServeUDPDropDuplicate(t *testing.T) {
-	uploads := simulateFleet(t, 2)
-	var frames [][]byte
-	for _, up := range uploads {
-		frames = append(frames, up.Frames...)
-	}
+	frames := allFrames(simulateFleet(t, 2))
 
 	// Deterministic channel: every 7th frame is dropped, every 5th of the
 	// survivors is delivered twice.

@@ -310,8 +310,8 @@ func fleetSpecs(cfg FleetConfig) []fleet.MoteSpec {
 }
 
 // simConfig assembles the deployment simulation config shared by RunFleet
-// and FleetUploads: the instrumented binary, the mote machine shape, and
-// the radio channel, all derived from one FleetConfig (defaults filled).
+// and wireFleet: the instrumented binary, the mote machine shape, and the
+// radio channel, all derived from one FleetConfig (defaults filled).
 func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 	mc := mote.DefaultConfig()
 	mc.TickDiv = cfg.TickDiv
@@ -338,20 +338,15 @@ func simConfig(cfg FleetConfig, prog []isa.Instr) fleet.SimConfig {
 	}
 }
 
-// FleetUploads runs only the deployment half of RunFleet — the
-// instrumented build, N motes under heterogeneous workloads and faults,
-// and the lossy uplink — and returns the raw per-mote uploads: the frames
-// exactly as the channel delivered them, undecoded. It is the feed for a
-// long-running base station (cmd/ctstationd) ingesting over the wire
-// instead of estimating in-process, and follows RunFleet's determinism
-// contract: a fixed config yields bit-identical frames regardless of
-// Workers and GOMAXPROCS.
-func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
+// wireFleet is the set-up FleetUploads and FleetFrames share: validate,
+// enforce the 16-bit wire-ID cap, build the instrumented binary, and
+// derive the deployment with every mote's frames kept for the wire.
+func wireFleet(source string, cfg FleetConfig) (fleet.SimConfig, []fleet.MoteSpec, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return fleet.SimConfig{}, nil, err
 	}
 	if cfg.Motes > 65535 {
-		return nil, fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
+		return fleet.SimConfig{}, nil, fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
 	}
 	cfg = cfg.withDefaults()
 	prof, err := compile.Build(source, compile.Options{
@@ -360,9 +355,29 @@ func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
 		RotateLoops:  cfg.RotateLoops,
 	})
 	if err != nil {
+		return fleet.SimConfig{}, nil, err
+	}
+	sim := simConfig(cfg, prof.Code)
+	sim.KeepFrames = true
+	return sim, fleetSpecs(cfg), nil
+}
+
+// FleetUploads runs only the deployment half of RunFleet — the
+// instrumented build, N motes under heterogeneous workloads and faults,
+// and the lossy uplink — and returns the per-mote results in mote order,
+// each carrying its frames exactly as the channel delivered them,
+// undecoded, and its ground-truth branch counts. It is the feed for a
+// long-running base station (cmd/ctstationd) ingesting over the wire
+// instead of estimating in-process, and follows RunFleet's determinism
+// contract: a fixed config yields bit-identical frames regardless of
+// Workers and GOMAXPROCS.
+func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteResult, error) {
+	sim, specs, err := wireFleet(source, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return fleet.Simulate(simConfig(cfg, prof.Code), fleetSpecs(cfg))
+	out, _, err := fleet.SimulateStream(sim, specs)
+	return out, err
 }
 
 // FleetFrames streams the deployment's delivered uplink frames to emit,
@@ -377,25 +392,11 @@ func FleetUploads(source string, cfg FleetConfig) ([]fleet.MoteUpload, error) {
 // snapshots are a pure function of the accepted-frame multiset. The frame
 // slices become the callee's; they are not recycled.
 func FleetFrames(source string, cfg FleetConfig, emit func(frames [][]byte) error) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Motes > 65535 {
-		return fmt.Errorf("codetomo: Motes = %d; wire-format mote IDs are 16-bit, so uploads cap at 65535 motes", cfg.Motes)
-	}
-	cfg = cfg.withDefaults()
-	prof, err := compile.Build(source, compile.Options{
-		Instrument:   compile.ModeTimestamps,
-		FuseCompares: cfg.FuseCompares,
-		RotateLoops:  cfg.RotateLoops,
-	})
+	sim, specs, err := wireFleet(source, cfg)
 	if err != nil {
 		return err
 	}
-	sim := simConfig(cfg, prof.Code)
-	sim.KeepFrames = true
-	pool := fleet.NewPool(cfg.Workers)
-	_, err = fleet.SimulateStreamOn(pool, sim, fleetSpecs(cfg), func(first int, cohort []fleet.MoteResult) error {
+	_, err = fleet.SimulateStreamOn(fleet.NewPool(sim.Workers), sim, specs, func(first int, cohort []fleet.MoteResult) error {
 		for i := range cohort {
 			if err := emit(cohort[i].Frames); err != nil {
 				return err

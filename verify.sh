@@ -25,6 +25,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== perfbench (separate module: vet + tests)"
+# The benchmark harness is its own module, so ./... above never builds
+# it: without this step an API it compiles against could vanish with
+# every other check green.
+(cd perfbench && go vet . && go test -count=1 .)
+
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
