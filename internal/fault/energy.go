@@ -137,6 +137,8 @@ type harvestSource struct {
 	// the rate is a pure function of the window index.
 	lastWindow uint64
 	lastRate   float64
+	// rng is the noise stream, reseeded per window.
+	rng stats.RNG
 }
 
 // RateUJPerCycle implements mote.HarvestSource.
@@ -158,8 +160,8 @@ func (h *harvestSource) RateUJPerCycle(cycle uint64) float64 {
 		rate *= s * math.Pi
 	}
 	if sig := h.cfg.HarvestNoiseSigma; sig > 0 && rate > 0 {
-		rng := stats.NewRNG(h.cfg.Seed + h.moteSeed*harvestSeedStride + int64(w)*harvestWindowPrime + 3)
-		rate *= math.Exp(sig*rng.Normal(0, 1) - sig*sig/2)
+		h.rng.Reseed(h.cfg.Seed + h.moteSeed*harvestSeedStride + int64(w)*harvestWindowPrime + 3)
+		rate *= math.Exp(sig*h.rng.Normal(0, 1) - sig*sig/2)
 	}
 	h.lastWindow, h.lastRate = w, rate
 	return rate

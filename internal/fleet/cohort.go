@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"codetomo/internal/mote"
+	"codetomo/internal/stats"
 	"codetomo/internal/trace"
 )
 
@@ -51,20 +52,27 @@ type MoteResult struct {
 }
 
 // streamWorker is the per-task scratch the engine recycles across cohorts:
-// the reused machine (reset per mote), a cohort-local dense oracle folded
-// into the shared one once per cohort, and the result slots handed to the
-// sink. At most pool.Workers() of these are ever live.
+// the reused machine (reset per mote), the mote's sensor, entropy and link
+// streams (reseeded per mote), a cohort-local dense oracle folded into the
+// shared one once per cohort, and the result slots handed to the sink. At
+// most pool.Workers() of these are ever live.
 type streamWorker struct {
-	m      *mote.Machine
-	oracle []mote.BranchStat
-	out    []MoteResult
+	m                     *mote.Machine
+	sensor, entropy, link stats.RNG
+	oracle                []mote.BranchStat
+	out                   []MoteResult
 }
 
-// runMote simulates one mote on the worker's reused machine and reduces
-// it to a MoteResult. Reset leaves the machine bit-identical to a fresh
-// New, so reuse cannot leak state between motes.
+// runMote simulates one mote on the worker's reused machine and random
+// streams and reduces it to a MoteResult. Reset leaves the machine
+// bit-identical to a fresh New and Reseed leaves each stream bit-identical
+// to a fresh NewRNG, so reuse cannot leak state between motes.
 func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error) {
-	mc, err := moteConfig(cfg, spec)
+	sensorSeed, entropySeed, linkSeed := moteSeeds(cfg, spec)
+	w.sensor.Reseed(sensorSeed)
+	w.entropy.Reseed(entropySeed)
+	w.link.Reseed(linkSeed)
+	mc, err := moteConfig(cfg, spec, &w.sensor, &w.entropy)
 	if err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
@@ -76,7 +84,7 @@ func (w *streamWorker) runMote(cfg SimConfig, spec MoteSpec) (MoteResult, error)
 	if err := runMachine(w.m, cfg); err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}
-	frames, ls, ast, events, err := uplinkMote(w.m, cfg, spec)
+	frames, ls, ast, events, err := uplinkMote(w.m, cfg, spec, &w.link)
 	if err != nil {
 		return MoteResult{}, fmt.Errorf("fleet: mote %d: %w", spec.ID, err)
 	}

@@ -10,20 +10,24 @@ import (
 
 	"codetomo/internal/isa"
 	"codetomo/internal/mote"
+	"codetomo/internal/stats"
 	"codetomo/internal/trace"
 )
 
 // materialize is the differential reference for the streaming engine: a
-// sequential runner that builds a fresh machine per mote, runs one mote at
-// a time, keeps every mote's frames and ground truth, and merges the fleet
-// oracle through the map view. It shares only the per-mote building blocks
-// (moteConfig, runMachine, uplinkMote) with SimulateStreamOn — not machine
-// reuse, cohort scheduling, or the dense oracle fold.
+// sequential runner that builds a fresh machine and fresh random streams
+// per mote, runs one mote at a time, keeps every mote's frames and ground
+// truth, and merges the fleet oracle through the map view. It shares only
+// the per-mote building blocks (moteSeeds, moteConfig, runMachine,
+// uplinkMote) with SimulateStreamOn — not machine or stream reuse, cohort
+// scheduling, or the dense oracle fold.
 func materialize(t testing.TB, cfg SimConfig, specs []MoteSpec) ([]MoteResult, map[int32]*mote.BranchStat) {
 	t.Helper()
 	out := make([]MoteResult, len(specs))
 	for i, spec := range specs {
-		mc, err := moteConfig(cfg, spec)
+		// Fresh streams per mote: the engine reseeds its reused ones.
+		sensorSeed, entropySeed, linkSeed := moteSeeds(cfg, spec)
+		mc, err := moteConfig(cfg, spec, stats.NewRNG(sensorSeed), stats.NewRNG(entropySeed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +35,7 @@ func materialize(t testing.TB, cfg SimConfig, specs []MoteSpec) ([]MoteResult, m
 		if err := runMachine(m, cfg); err != nil {
 			t.Fatal(err)
 		}
-		frames, ls, ast, events, err := uplinkMote(m, cfg, spec)
+		frames, ls, ast, events, err := uplinkMote(m, cfg, spec, stats.NewRNG(linkSeed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,17 +75,26 @@ type SimConfig struct {
 	KeepFrames bool
 }
 
+// moteSeeds derives the seeds of one mote's three random streams: its
+// sensor input and entropy source from the spec's seed, and its radio
+// channel from the link seed and the mote identity, so each mote sees
+// independent but reproducible inputs and channel.
+func moteSeeds(cfg SimConfig, spec MoteSpec) (sensor, entropy, link int64) {
+	return spec.Seed, spec.Seed + 7919, cfg.Link.Seed + int64(spec.ID)*6151 + 1
+}
+
 // moteConfig derives one mote's machine configuration from its spec: the
-// base machine shape plus the spec's sensor/entropy streams, clock skew,
-// and the fault/energy environment keyed by the mote identity.
-func moteConfig(cfg SimConfig, spec MoteSpec) (mote.Config, error) {
-	sensor, ok := workload.Named(spec.Workload, stats.NewRNG(spec.Seed))
+// base machine shape plus the sensor and entropy streams (seeded by
+// moteSeeds), the spec's clock skew, and the fault/energy environment
+// keyed by the mote identity.
+func moteConfig(cfg SimConfig, spec MoteSpec, sensorRNG, entropyRNG *stats.RNG) (mote.Config, error) {
+	sensor, ok := workload.Named(spec.Workload, sensorRNG)
 	if !ok {
 		return mote.Config{}, fmt.Errorf("unknown workload %q", spec.Workload)
 	}
 	mc := cfg.Mote
 	mc.Sensor = sensor
-	mc.Entropy = workload.NewEntropy(stats.NewRNG(spec.Seed + 7919))
+	mc.Entropy = workload.NewEntropy(entropyRNG)
 	mc.ClockOffsetTicks = spec.ClockOffsetTicks
 	if cfg.Faults.Enabled() {
 		mc.Resets = cfg.Faults.Resets(cfg.MaxCycles, int64(spec.ID))
@@ -119,8 +128,9 @@ func runMachine(m *mote.Machine, cfg SimConfig) error {
 }
 
 // uplinkMote packetizes a finished machine's trace and pushes the frames
-// through the radio channel, returning the link's deliveries.
-func uplinkMote(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
+// through the radio channel (drawing from the mote's link stream, seeded
+// by moteSeeds), returning the link's deliveries.
+func uplinkMote(m *mote.Machine, cfg SimConfig, spec MoteSpec, linkRNG *stats.RNG) (delivered [][]byte, ls LinkStats, ast ARQStats, eventsLogged int, err error) {
 	events := m.Trace()
 	pkts := trace.Packetize(spec.ID, events, cfg.Link.EventsPerPacket)
 	if cfg.Link.PacketVersion == trace.PacketVersionLegacy {
@@ -136,9 +146,7 @@ func uplinkMote(m *mote.Machine, cfg SimConfig, spec MoteSpec) (delivered [][]by
 		}
 		frames[i] = b
 	}
-	// The channel RNG derives from the link seed and the mote identity so
-	// each mote sees an independent but reproducible channel.
-	delivered, ls, ast = cfg.Link.TransmitARQ(frames, stats.NewRNG(cfg.Link.Seed+int64(spec.ID)*6151+1))
+	delivered, ls, ast = cfg.Link.TransmitARQ(frames, linkRNG)
 	return delivered, ls, ast, len(events), nil
 }
 

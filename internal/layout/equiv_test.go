@@ -1,9 +1,9 @@
 package layout
 
 // Pins the incremental chain-emission loop in Optimize to the quadratic
-// rescan it replaced: optimizeReference below is that original emission
-// retained verbatim, and the property test requires bit-identical layouts
-// (float ties included) across random CFGs and weight distributions.
+// rescan it replaced: optimizeReference below is that original emission,
+// and the property test requires bit-identical layouts (float ties
+// included) across random CFGs and weight distributions.
 
 import (
 	"sort"
@@ -16,7 +16,9 @@ import (
 
 // optimizeReference is Optimize with the original emission loop: per round,
 // every unplaced chain rescans every CFG edge to compute its connection to
-// the placed set.
+// the placed set. It carries the same colder-arm rule as Optimize (no
+// chain headed by a colder arm of the last placed block while another
+// remains), so the property test pins the incremental sums, not the rule.
 func optimizeReference(proc *cfg.Proc, weights Weights) []ir.BlockID {
 	n := len(proc.Blocks)
 	chainOf := make([]int, n)
@@ -51,6 +53,12 @@ func optimizeReference(proc *cfg.Proc, weights Weights) []ir.BlockID {
 			maxOut[we.e[0]] = we.w
 		}
 	}
+	colder := make(map[[2]ir.BlockID]bool)
+	for _, we := range edges {
+		if we.w < maxOut[we.e[0]] {
+			colder[we.e] = true
+		}
+	}
 
 	for _, we := range edges {
 		a, b := we.e[0], we.e[1]
@@ -81,7 +89,8 @@ func optimizeReference(proc *cfg.Proc, weights Weights) []ir.BlockID {
 	}
 	emit(chainOf[proc.Entry])
 	for len(order) < n {
-		best, bestW := -1, -1.0
+		last := order[len(order)-1]
+		best, bestW, bestCold := -1, -1.0, false
 		for ci, ch := range chains {
 			if ch == nil || placed[ci] {
 				continue
@@ -92,8 +101,10 @@ func optimizeReference(proc *cfg.Proc, weights Weights) []ir.BlockID {
 					w += weights[[2]ir.BlockID{e.From, e.To}]
 				}
 			}
-			if w > bestW || (w == bestW && (best == -1 || chains[ci][0] < chains[best][0])) {
-				best, bestW = ci, w
+			cold := colder[[2]ir.BlockID{last, ch[0]}]
+			if best == -1 || (bestCold && !cold) ||
+				(cold == bestCold && (w > bestW || (w == bestW && ch[0] < chains[best][0]))) {
+				best, bestW, bestCold = ci, w, cold
 			}
 		}
 		if best == -1 {

@@ -45,7 +45,9 @@ func FromProbs(proc *cfg.Proc, probs markov.EdgeProbs) Weights {
 //     chain tail and whose target is a different chain's head merges the
 //     two chains (making the edge a fall-through);
 //  3. chains are emitted starting with the entry chain, then repeatedly
-//     the chain most strongly connected to the already-placed blocks.
+//     the chain most strongly connected to the already-placed blocks,
+//     passing over chains whose head is a colder arm of the last placed
+//     block while any other chain remains.
 func Optimize(proc *cfg.Proc, weights Weights) []ir.BlockID {
 	n := len(proc.Blocks)
 	// chainOf[b] = chain index; chains[i] = block sequence (nil = merged).
@@ -87,10 +89,19 @@ func Optimize(proc *cfg.Proc, weights Weights) []ir.BlockID {
 			maxOut[we.e[0]] = we.w
 		}
 	}
+	// colder holds the edges this rule refuses as fall-throughs: merging
+	// skips them, and emission avoids creating them by placing such an
+	// arm's chain directly after its source.
+	colder := make(map[[2]ir.BlockID]bool)
+	for _, we := range edges {
+		if we.w < maxOut[we.e[0]] {
+			colder[we.e] = true
+		}
+	}
 
 	for _, we := range edges {
 		a, b := we.e[0], we.e[1]
-		if we.w < maxOut[a] {
+		if colder[we.e] {
 			continue
 		}
 		ca, cb := chainOf[a], chainOf[b]
@@ -111,13 +122,16 @@ func Optimize(proc *cfg.Proc, weights Weights) []ir.BlockID {
 	}
 
 	// Emit: entry chain first, then greedily the chain with the strongest
-	// connection to placed blocks. Connection strengths are cached rather
-	// than rescanned per candidate per round: each chain's incoming
-	// cross-chain edges are collected once in proc.Edges() order, and when
-	// a chain is placed only the chains it feeds are re-summed — over the
-	// same ordered edge list, so every sum adds the same floats in the
-	// same order as a full rescan and the selection (ties included) is
-	// bit-identical to the quadratic loop this replaces.
+	// connection to placed blocks, preferring any chain whose head is not
+	// a colder arm of the last placed block (emitting one next would make
+	// that arm the fall-through and put the hot arm on the taken side).
+	// Connection strengths are cached rather than rescanned per candidate
+	// per round: each chain's incoming cross-chain edges are collected
+	// once in proc.Edges() order, and when a chain is placed only the
+	// chains it feeds are re-summed — over the same ordered edge list, so
+	// every sum adds the same floats in the same order as a full rescan
+	// and the selection (ties included) is bit-identical to the quadratic
+	// loop this replaces.
 	type inEdge struct {
 		from int // source chain
 		w    float64
@@ -161,14 +175,17 @@ func Optimize(proc *cfg.Proc, weights Weights) []ir.BlockID {
 	}
 	emit(chainOf[proc.Entry])
 	for len(order) < n {
-		best, bestW := -1, -1.0
+		last := order[len(order)-1]
+		best, bestW, bestCold := -1, -1.0, false
 		for ci, ch := range chains {
 			if ch == nil || placed[ci] {
 				continue
 			}
 			w := conn[ci]
-			if w > bestW || (w == bestW && (best == -1 || chains[ci][0] < chains[best][0])) {
-				best, bestW = ci, w
+			cold := colder[[2]ir.BlockID{last, ch[0]}]
+			if best == -1 || (bestCold && !cold) ||
+				(cold == bestCold && (w > bestW || (w == bestW && ch[0] < chains[best][0]))) {
+				best, bestW, bestCold = ci, w, cold
 			}
 		}
 		if best == -1 {

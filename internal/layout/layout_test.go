@@ -272,3 +272,39 @@ func TestMergeOnlyHottestOutEdge(t *testing.T) {
 		t.Fatalf("hot arm not fall-through: %v", order)
 	}
 }
+
+func TestEmissionAvoidsColdArmFallThrough(t *testing.T) {
+	// A loop 1 -> 2 -> 4 -> 1 whose edges tie up to float rounding, so
+	// merging builds the chain 2 4 1 and leaves the loop exit 3 alone.
+	// Once 1 is placed, the exit chain has the strongest connection, but
+	// emitting it next would make the cold exit arm 1 -> 3 the
+	// fall-through and the hot back edge 1 -> 2 a taken branch on every
+	// iteration. Emission must take the other remaining chain (5) first.
+	p := &cfg.Proc{
+		Name:  "loop",
+		Entry: 0,
+		Blocks: []*cfg.Block{
+			{ID: 0, Term: ir.Br{Cond: 0, True: 1, False: 5}},
+			{ID: 1, Term: ir.Br{Cond: 0, True: 2, False: 3}},
+			{ID: 2, Term: ir.Jmp{Target: 4}},
+			{ID: 3, Term: ir.Ret{Val: -1}},
+			{ID: 4, Term: ir.Jmp{Target: 1}},
+			{ID: 5, Term: ir.Ret{Val: -1}},
+		},
+	}
+	w := layout.Weights{
+		{0, 1}: 1,
+		{0, 5}: 0,
+		{1, 2}: 8 - 1e-12, // hot back edge, rounded just below its peers
+		{1, 3}: 1,         // cold loop exit
+		{2, 4}: 8,
+		{4, 1}: 8,
+	}
+	order := layout.Optimize(p, w)
+	want := []ir.BlockID{0, 2, 4, 1, 5, 3}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v (the cold exit 3 must not follow 1)", order, want)
+		}
+	}
+}

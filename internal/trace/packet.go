@@ -102,7 +102,7 @@ func (p *Packet) MarshalBinary() ([]byte, error) {
 		off += packetRecordSize
 	}
 	if v == PacketVersionCRC {
-		binary.LittleEndian.PutUint16(out[off:], crc16(out[:off]))
+		binary.LittleEndian.PutUint16(out[off:], mote.CRC16(out[:off]))
 	}
 	return out, nil
 }
@@ -138,7 +138,7 @@ func (p *Packet) UnmarshalBinary(data []byte) error {
 	}
 	if version == PacketVersionCRC {
 		body := data[:len(data)-packetCRCSize]
-		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); crc16(body) != got {
+		if got := binary.LittleEndian.Uint16(data[len(data)-packetCRCSize:]); mote.CRC16(body) != got {
 			return fmt.Errorf("%w: seq %d", ErrCorruptPacket, binary.LittleEndian.Uint32(data[6:]))
 		}
 	}

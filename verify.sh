@@ -34,6 +34,11 @@ echo "== perfbench (separate module: vet + tests)"
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
+echo "== fuzz smoke (CRC-16)"
+# Differential fuzzing of the table-driven CRC-16 against the bitwise
+# oracle kept in its test file: any differing checksum is a crash.
+go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
+
 echo "== fuzz smoke (interpreter cores)"
 # Differential fuzzing of the fused dispatch core against the reference
 # Step core: any state divergence on a random program is a crash.
