@@ -215,7 +215,7 @@ func BenchmarkEMEstimator(b *testing.B) {
 	pm := out.Meta.ProcByName[a.Handler]
 	samples := trace.DurationsCycles(trace.ExclusiveByProc(ivs)[pm.Index], cfg.TickDiv)
 	model, err := tomography.NewModel(out, a.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: markov.PipelineMaxPaths})
 	if err != nil {
 		b.Fatal(err)
 	}

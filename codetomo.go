@@ -430,7 +430,7 @@ func Run(source string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
+	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: markov.PipelineMaxPaths}
 
 	// 1–2. Profile run with timestamp instrumentation.
 	prof, profM, err := cfg.execute(source, compile.Options{Instrument: compile.ModeTimestamps})

@@ -58,7 +58,7 @@ func main() {
 		len(samples), app.Handler, tickDiv)
 
 	model, err := tomography.NewModel(out, app.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: markov.PipelineMaxPaths})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("host:  decoded %d invocations of %s\n", len(samples), app.Handler)
 
 	model, err := tomography.NewModel(out, app.Handler, cfg.Predictor,
-		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000})
+		markov.EnumerateOptions{MaxVisits: 12, MaxPaths: markov.PipelineMaxPaths})
 	if err != nil {
 		log.Fatal(err)
 	}

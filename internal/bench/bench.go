@@ -47,7 +47,7 @@ func DefaultConfig() Config {
 		Samples:   3000,
 		TickDiv:   8,
 		Predictor: mote.StaticNotTaken{},
-		Enum:      markov.EnumerateOptions{MaxVisits: 12, MaxPaths: 30000},
+		Enum:      markov.EnumerateOptions{MaxVisits: 12, MaxPaths: markov.PipelineMaxPaths},
 		MaxCycles: 2_000_000_000,
 		MaxFleet:  1_000_000,
 	}

@@ -81,7 +81,8 @@ type CompiledPaths struct {
 	arcCount []float64
 }
 
-// Compile builds the dense form of a path set enumerated from p.
+// Compile builds the dense form of a path set enumerated from p, from the
+// edge indices Enumerate recorded on every arc.
 func Compile(p *cfg.Proc, paths []*Path) *CompiledPaths {
 	ix := NewEdgeIndex(p)
 	cp := &CompiledPaths{Index: ix, arcStart: make([]int32, len(paths)+1)}
@@ -92,18 +93,8 @@ func Compile(p *cfg.Proc, paths []*Path) *CompiledPaths {
 	cp.arcEdge = make([]int32, 0, n)
 	cp.arcCount = make([]float64, 0, n)
 	for j, path := range paths {
-		cp.arcStart[j] = int32(len(cp.arcEdge))
+		cp.arcEdge = append(cp.arcEdge, path.edgeIndices()...)
 		for _, a := range path.Arcs {
-			ei, ok := ix.index[a.Edge]
-			if !ok {
-				// An arc over an edge absent from the CFG would be a path
-				// enumeration bug; index it defensively so lookups stay
-				// in-bounds.
-				ei = int32(len(ix.edges))
-				ix.index[a.Edge] = ei
-				ix.edges = append(ix.edges, a.Edge)
-			}
-			cp.arcEdge = append(cp.arcEdge, ei)
 			cp.arcCount = append(cp.arcCount, float64(a.Count))
 		}
 		cp.arcStart[j+1] = int32(len(cp.arcEdge))
@@ -141,6 +132,13 @@ func (cp *CompiledPaths) PathProbs(logq, out []float64) {
 		}
 		out[j] = math.Exp(logp)
 	}
+}
+
+// Arcs returns path j's arcs as parallel slices of dense edge indices and
+// traversal counts, in arc order.
+func (cp *CompiledPaths) Arcs(j int) (edges []int32, counts []float64) {
+	lo, hi := cp.arcStart[j], cp.arcStart[j+1]
+	return cp.arcEdge[lo:hi], cp.arcCount[lo:hi]
 }
 
 // AccumulateArcs adds gamma·count to w[edge] for each arc of path j, in

@@ -40,6 +40,16 @@ func loopProc() *cfg.Proc {
 
 func edge(a, b int) [2]ir.BlockID { return [2]ir.BlockID{ir.BlockID(a), ir.BlockID(b)} }
 
+// arcCount returns how many times path traverses e (0 if never).
+func arcCount(path *Path, e [2]ir.BlockID) int {
+	for _, a := range path.Arcs {
+		if a.Edge == e {
+			return a.Count
+		}
+	}
+	return 0
+}
+
 func TestUniform(t *testing.T) {
 	ep := Uniform(diamond())
 	if ep[edge(0, 1)] != 0.5 || ep[edge(0, 2)] != 0.5 {
@@ -270,7 +280,7 @@ func TestEnumerateLoopTruncation(t *testing.T) {
 	last := paths[len(paths)-1]
 	maxBody := 0
 	for _, p := range paths {
-		if n := p.EdgeCounts[edge(2, 1)]; n > maxBody {
+		if n := arcCount(p, edge(2, 1)); n > maxBody {
 			maxBody = n
 		}
 	}

@@ -17,14 +17,24 @@ type Arc struct {
 // a return block.
 type Path struct {
 	Blocks []ir.BlockID
-	// Arcs lists the traversed edges in order of first traversal. All
-	// arithmetic over paths iterates Arcs (never EdgeCounts) so results
-	// are bit-for-bit reproducible across runs.
+	// Arcs lists the traversed edges in order of first traversal, each with
+	// how many times the path traverses it (loops can traverse an edge
+	// repeatedly). All arithmetic over paths iterates Arcs in this order so
+	// results are bit-for-bit reproducible across runs.
 	Arcs []Arc
-	// EdgeCounts gives how many times each edge is traversed on the path
-	// (loops can traverse an edge repeatedly). It mirrors Arcs for O(1)
-	// lookup.
-	EdgeCounts map[[2]ir.BlockID]int
+	// edges[i] is Arcs[i].Edge's index in NewEdgeIndex of the enumerated
+	// procedure, so Compile and PathTimes never look an arc up by key.
+	// Enumerate always records it; Compile and PathTimes require it.
+	edges []int32
+}
+
+// edgeIndices returns the edge indices Enumerate recorded for the path's
+// arcs. Compile and PathTimes accept only enumerated paths.
+func (p *Path) edgeIndices() []int32 {
+	if len(p.edges) != len(p.Arcs) {
+		panic("markov: path was not built by Enumerate")
+	}
+	return p.edges
 }
 
 // Prob returns the path's probability under the given edge probabilities:
@@ -41,6 +51,12 @@ func (p *Path) Prob(probs EdgeProbs) float64 {
 	return math.Exp(logp)
 }
 
+// PipelineMaxPaths is the path cap every production pipeline enumerates
+// under: Run, RunFleet, the station, the experiments and the examples.
+// Each handler's path set is at most this large; the unrolling bound is
+// the caller's MaxVisits.
+const PipelineMaxPaths = 30000
+
 // EnumerateOptions bounds the path enumeration.
 type EnumerateOptions struct {
 	// MaxVisits caps how many times any single block may appear on a path
@@ -51,8 +67,9 @@ type EnumerateOptions struct {
 }
 
 // DefaultEnumerateOptions bounds enumeration to 6 visits per block and
-// 4096 paths — enough for the sensor kernels' CFGs while keeping the EM
-// e-step cheap.
+// 4096 paths: a small bound for unit tests and synthetic chains. The
+// pipelines enumerate under PipelineMaxPaths with their configured visit
+// bound instead.
 func DefaultEnumerateOptions() EnumerateOptions {
 	return EnumerateOptions{MaxVisits: 6, MaxPaths: 4096}
 }
@@ -61,6 +78,14 @@ func DefaultEnumerateOptions() EnumerateOptions {
 // with a per-block visit cap. truncated reports whether any path was cut
 // off by the caps (its probability mass is missing from the returned set;
 // estimators renormalize over the enumerated paths).
+//
+// The search keeps the current path's arcs in dense form: a traversal
+// counter per CFG edge, raised on descent and lowered on backtrack, and a
+// stack of the edges in order of first traversal. An edge is pushed when
+// its counter leaves 0 and popped when it returns there; the edges first
+// traversed deeper are always popped first, so the stack is exactly the
+// path's arc order. A leaf copies the block sequence, the stack and the
+// counts into slices carved from shared chunks, with no per-path maps.
 func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated bool) {
 	if opts.MaxVisits < 1 {
 		opts.MaxVisits = 1
@@ -68,8 +93,25 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 	if opts.MaxPaths <= 0 {
 		opts.MaxPaths = 4096
 	}
+	ix := NewEdgeIndex(p)
+	succs := make([][]ir.BlockID, len(p.Blocks))
+	succEdge := make([][]int32, len(p.Blocks))
+	for _, b := range p.Blocks {
+		succs[int(b.ID)] = b.Succs()
+		for _, s := range succs[int(b.ID)] {
+			succEdge[int(b.ID)] = append(succEdge[int(b.ID)], ix.index[[2]ir.BlockID{b.ID, s}])
+		}
+	}
 	visits := make([]int, len(p.Blocks))
+	count := make([]int, ix.Len())
 	var seq []ir.BlockID
+	var first []int32
+	var (
+		pathMem  chunks[Path]
+		blockMem chunks[ir.BlockID]
+		arcMem   chunks[Arc]
+		edgeMem  chunks[int32]
+	)
 
 	var walk func(id ir.BlockID)
 	walk = func(id ir.BlockID) {
@@ -84,26 +126,27 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 		visits[int(id)]++
 		seq = append(seq, id)
 
-		succs := p.Block(id).Succs()
-		if len(succs) == 0 {
-			path := &Path{
-				Blocks:     append([]ir.BlockID(nil), seq...),
-				EdgeCounts: make(map[[2]ir.BlockID]int),
-			}
-			for i := 0; i+1 < len(path.Blocks); i++ {
-				e := [2]ir.BlockID{path.Blocks[i], path.Blocks[i+1]}
-				if path.EdgeCounts[e] == 0 {
-					path.Arcs = append(path.Arcs, Arc{Edge: e})
-				}
-				path.EdgeCounts[e]++
-			}
-			for i := range path.Arcs {
-				path.Arcs[i].Count = path.EdgeCounts[path.Arcs[i].Edge]
+		if len(succs[int(id)]) == 0 {
+			path := &pathMem.take(1)[0]
+			path.Blocks = blockMem.take(len(seq))
+			copy(path.Blocks, seq)
+			path.edges = edgeMem.take(len(first))
+			copy(path.edges, first)
+			path.Arcs = arcMem.take(len(first))
+			for i, e := range first {
+				path.Arcs[i] = Arc{Edge: ix.edges[e], Count: count[e]}
 			}
 			paths = append(paths, path)
 		} else {
-			for _, s := range succs {
+			for k, s := range succs[int(id)] {
+				e := succEdge[int(id)][k]
+				if count[e]++; count[e] == 1 {
+					first = append(first, e)
+				}
 				walk(s)
+				if count[e]--; count[e] == 0 {
+					first = first[:len(first)-1]
+				}
 			}
 		}
 
@@ -112,6 +155,52 @@ func Enumerate(p *cfg.Proc, opts EnumerateOptions) (paths []*Path, truncated boo
 	}
 	walk(p.Entry)
 	return paths, truncated
+}
+
+// chunks hands out slices carved from shared backing arrays, so a path set
+// costs a few large allocations instead of several per path. A chunk is
+// never reallocated, so every carved slice stays valid; chunk sizes double
+// from chunkMin to chunkMax, which keeps small path sets small.
+type chunks[T any] struct {
+	free []T
+	size int
+}
+
+const (
+	chunkMin = 64
+	chunkMax = 1 << 16
+)
+
+// take returns a fresh slice of n elements with capacity n.
+func (c *chunks[T]) take(n int) []T {
+	if len(c.free) < n {
+		c.size = min(max(2*c.size, chunkMin), chunkMax)
+		c.free = make([]T, max(n, c.size))
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// PathTimes returns PathTime of every path enumerated from p. It reads
+// each arc's edge cost from a dense table by the arc's recorded edge index
+// instead of from the Costs.Edge map; the summation order is PathTime's,
+// so the results are bit-identical.
+func PathTimes(p *cfg.Proc, paths []*Path, costs *Costs) []float64 {
+	ix := NewEdgeIndex(p)
+	edgeCost := ix.Dense(costs.Edge)
+	out := make([]float64, len(paths))
+	for j, path := range paths {
+		t := costs.EntryOverhead
+		for _, b := range path.Blocks {
+			t += costs.Block[int(b)]
+		}
+		for i, e := range path.edgeIndices() {
+			t += float64(path.Arcs[i].Count) * edgeCost[e]
+		}
+		out[j] = t
+	}
+	return out
 }
 
 // PathTime computes a path's deterministic duration from the chain costs.
@@ -134,7 +223,7 @@ func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
 	if maxSteps <= 0 {
 		maxSteps = 100000
 	}
-	path := &Path{EdgeCounts: make(map[[2]ir.BlockID]int)}
+	path := &Path{}
 	cur := c.proc.Entry
 	path.Blocks = append(path.Blocks, cur)
 	for step := 0; step < maxSteps; step++ {
@@ -153,15 +242,16 @@ func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
 			}
 		}
 		e := [2]ir.BlockID{cur, next}
-		if path.EdgeCounts[e] == 0 {
-			path.Arcs = append(path.Arcs, Arc{Edge: e})
-		}
-		path.EdgeCounts[e]++
+		seen := false
 		for i := range path.Arcs {
 			if path.Arcs[i].Edge == e {
-				path.Arcs[i].Count = path.EdgeCounts[e]
+				path.Arcs[i].Count++
+				seen = true
 				break
 			}
+		}
+		if !seen {
+			path.Arcs = append(path.Arcs, Arc{Edge: e, Count: 1})
 		}
 		path.Blocks = append(path.Blocks, next)
 		cur = next

@@ -253,7 +253,7 @@ func New(cfg Config) (*Server, error) {
 		pool:   fleet.NewPool(cfg.Shards + 2),
 		cutCh:  make(chan struct{}, 1),
 	}
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
+	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: markov.PipelineMaxPaths}
 	for _, p := range prof.CFG.Procs {
 		if len(p.BranchBlocks()) == 0 {
 			continue

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"codetomo/internal/apps"
+	"codetomo/internal/compile"
 	"codetomo/internal/ir"
 	"codetomo/internal/markov"
+	"codetomo/internal/mote"
 	"codetomo/internal/stats"
 )
 
@@ -145,6 +148,46 @@ func BenchmarkIncrementalObserve(b *testing.B) {
 			if _, err := inc.Observe(samples[j : j+250]); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkNewModelCRC is the model-build cost on the corpus's largest
+// model: NewModel plus a first Coverage (which compiles the dense form) for
+// the crc app's crc8 at the pipeline's bounds, where enumeration hits the
+// path cap. The samples are every tenth path time of a model built once.
+func BenchmarkNewModelCRC(b *testing.B) {
+	a, ok := apps.ByName("crc")
+	if !ok {
+		b.Fatal("no crc app")
+	}
+	src, err := a.Source(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := compile.Build(src, compile.Options{Instrument: compile.ModeTimestamps})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enum := markov.EnumerateOptions{MaxVisits: 12, MaxPaths: markov.PipelineMaxPaths}
+	build := func() *Model {
+		m, err := NewModel(out, "crc8", mote.StaticNotTaken{}, enum)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	var samples []float64
+	for i, t := range build().PathTimes {
+		if i%10 == 0 {
+			samples = append(samples, t)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if build().Coverage(samples, 8) == 0 {
+			b.Fatal("zero coverage")
 		}
 	}
 }

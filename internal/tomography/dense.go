@@ -45,6 +45,17 @@ func (m *Model) compiled() *compiledModel {
 	return m.comp
 }
 
+// pathProbs returns every path's probability under probs, bit-identical
+// to Path.Prob (see markov.CompiledPaths).
+func (c *compiledModel) pathProbs(probs markov.EdgeProbs) []float64 {
+	ix := c.paths.Index
+	logq := make([]float64, ix.Len())
+	c.paths.LogProbs(ix.Dense(probs), logq)
+	out := make([]float64, c.paths.NumPaths())
+	c.paths.PathProbs(logq, out)
+	return out
+}
+
 // estimateEMDense is the EM hot path over pre-deduplicated observations:
 // obs ascending with positive counts. It performs the exact floating-point
 // operation sequence of EstimateEMReference — same observation order, same

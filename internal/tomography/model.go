@@ -105,10 +105,7 @@ func NewModelOpts(out *compile.Output, procName string, pred compile.Predictor, 
 	if len(m.Paths) == 0 {
 		return nil, fmt.Errorf("tomography: %q has no terminating path within bounds", procName)
 	}
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, p := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(p, costs)
-	}
+	m.PathTimes = markov.PathTimes(proc, m.Paths, costs)
 
 	var resolved map[ir.BlockID]ir.BlockID
 	if mo.StaticResolve {
@@ -183,8 +180,7 @@ func (m *Model) EnvelopeCheck(probs markov.EdgeProbs, slack float64) bool {
 		return true
 	}
 	num, den := 0.0, 0.0
-	for j, p := range m.Paths {
-		pr := p.Prob(probs)
+	for j, pr := range m.compiled().pathProbs(probs) {
 		num += pr * m.PathTimes[j]
 		den += pr
 	}
@@ -254,12 +250,11 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	if n == 0 {
 		return out
 	}
-	uniform := m.InitialProbs()
-	prior := make([]float64, n)
+	c := m.compiled()
+	prior := c.pathProbs(m.InitialProbs())
 	total := 0.0
-	for j, p := range m.Paths {
-		prior[j] = p.Prob(uniform)
-		total += prior[j]
+	for _, pr := range prior {
+		total += pr
 	}
 	if total == 0 {
 		return out
@@ -269,16 +264,32 @@ func (m *Model) BranchAmbiguity(window float64) map[ir.BlockID]float64 {
 	}
 	bucketOf := func(t float64) int64 { return int64(t / window) }
 
-	for _, u := range m.Unknowns {
-		// Per-path signature: this block's out-edge traversal counts.
-		sig := make([]uint64, n)
-		for j, p := range m.Paths {
-			s := uint64(0)
-			for _, e := range u.Edges {
-				s = s*1000003 + uint64(p.EdgeCounts[e])
-			}
-			sig[j] = s
+	// Per-unknown, per-path signature: the block's out-edge traversal
+	// counts, read from the CSR arcs through a dense per-edge count.
+	sigs := make([][]uint64, len(m.Unknowns))
+	for ui := range sigs {
+		sigs[ui] = make([]uint64, n)
+	}
+	count := make([]uint64, c.paths.Index.Len())
+	for j := 0; j < n; j++ {
+		edges, counts := c.paths.Arcs(j)
+		for a, e := range edges {
+			count[e] = uint64(counts[a])
 		}
+		for ui, ues := range c.unknown {
+			s := uint64(0)
+			for _, e := range ues {
+				s = s*1000003 + count[e]
+			}
+			sigs[ui][j] = s
+		}
+		for _, e := range edges {
+			count[e] = 0
+		}
+	}
+
+	for ui, u := range m.Unknowns {
+		sig := sigs[ui]
 		type bs struct {
 			sig      uint64
 			multiple bool

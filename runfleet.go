@@ -423,7 +423,7 @@ func RunFleet(source string, cfg FleetConfig) (*FleetResult, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: 30000}
+	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: markov.PipelineMaxPaths}
 
 	// 1. One instrumented build; every mote runs the same binary.
 	prof, err := compile.Build(source, compile.Options{

@@ -34,6 +34,12 @@ echo "== perfbench (separate module: vet + tests)"
 echo "== fuzz smoke (packet decoder)"
 go test ./internal/trace -run=NONE -fuzz=FuzzPacketDecode -fuzztime=5s
 
+echo "== fuzz smoke (path enumeration)"
+# Differential fuzzing of the dense path enumerator against the map-based
+# oracle kept in its test file: random small CFGs and caps; any difference
+# in paths, arcs, counts, truncation or path times is a crash.
+go test ./internal/markov -run=NONE -fuzz=FuzzEnumerate -fuzztime=5s
+
 echo "== fuzz smoke (CRC-16)"
 # Differential fuzzing of the table-driven CRC-16 against the bitwise
 # oracle kept in its test file: any differing checksum is a crash.
