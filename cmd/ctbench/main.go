@@ -9,9 +9,6 @@
 //	ctbench -csv          # emit CSV instead of aligned tables
 //	ctbench -json         # emit a JSON array of result tables
 //	ctbench -samples 3000 -seed 1234 -tick 8
-//
-// `ctbench -exp k1 -json` regenerates the committed BENCH_PR4.json
-// estimation-kernel numbers.
 package main
 
 import (
@@ -21,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"codetomo/internal/bench"
@@ -29,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (t1,f2,f3,f4,f5,t2,f6,f7,f8,t3,a1,a2,a3,a4,fl1,fl2,fl3,ft1,ft2,k1,s1,sa1,st1,in1,pg1) or 'all'")
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(bench.SortedIDs(), ",")+") or 'all'")
 	samples := flag.Int("samples", 0, "handler invocations per profiling run (default from bench.DefaultConfig)")
 	seed := flag.Int64("seed", 0, "workload seed (default from bench.DefaultConfig)")
 	tick := flag.Int("tick", 0, "timer prescaler (default from bench.DefaultConfig)")

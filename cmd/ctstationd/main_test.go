@@ -151,10 +151,16 @@ func TestStationSmoke(t *testing.T) {
 	for _, up := range uploads {
 		frames = append(frames, up.Frames...)
 	}
-	st, err := station.PushFrames(tcpAddr, frames, station.PushConfig{Retries: 3})
+	push, err := station.DialPush(tcpAddr, station.PushConfig{Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	err = push.Send(frames)
+	push.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := push.Stats()
 	if st.Acked == 0 || st.Failed != 0 {
 		t.Fatalf("push stats %+v", st)
 	}

@@ -57,112 +57,6 @@ func loopedProc() *cfg.Proc {
 	}
 }
 
-func TestTempLivenessDiamond(t *testing.T) {
-	p := diamondProc()
-	live := TempLiveness(p)
-	// t1 is read in b1 and at the Ret in b3: live out of b0, into b1..b3.
-	for _, b := range []int{1, 2, 3} {
-		if !live.LiveIn[b].Get(1) {
-			t.Errorf("t1 not live-in at b%d", b)
-		}
-	}
-	if !live.LiveOut[0].Get(1) {
-		t.Error("t1 not live-out of b0")
-	}
-	// t0 is defined and consumed inside b0: not live-in anywhere.
-	for b := 0; b < 4; b++ {
-		if live.LiveIn[b].Get(0) {
-			t.Errorf("t0 unexpectedly live-in at b%d", b)
-		}
-	}
-	// Nothing is live out of the exit.
-	if live.LiveOut[3].Count() != 0 {
-		t.Errorf("live-out of exit = %d facts, want 0", live.LiveOut[3].Count())
-	}
-}
-
-func TestTempLivenessLoop(t *testing.T) {
-	p := loopedProc()
-	live := TempLiveness(p)
-	// t0 and t1 are read on every iteration: live around the back edge.
-	for _, tmp := range []int{0, 1} {
-		if !live.LiveIn[1].Get(tmp) || !live.LiveOut[2].Get(tmp) {
-			t.Errorf("t%d not live through the loop", tmp)
-		}
-	}
-	// t2 is never read.
-	if live.LiveIn[1].Get(2) {
-		t.Error("dead t2 reported live")
-	}
-}
-
-func TestTempLivenessIgnoresUnreachable(t *testing.T) {
-	p := diamondProc()
-	// An unreachable block reading t0 must not make t0 live anywhere.
-	p.Blocks = append(p.Blocks, &cfg.Block{
-		ID: 4, Label: "dead",
-		Instrs: []ir.Instr{ir.Mov{Dst: 1, Src: 0}},
-		Term:   ir.Ret{Val: 1},
-	})
-	live := TempLiveness(p)
-	if live.LiveOut[0].Get(0) {
-		t.Error("unreachable use made t0 live-out of b0")
-	}
-}
-
-func TestReachingDefsDiamond(t *testing.T) {
-	p := diamondProc()
-	// Redefine t1 in the else arm so two defs of t1 meet at the join.
-	p.Blocks[2].Instrs = []ir.Instr{ir.Const{Dst: 1, Val: 9}}
-	r := ReachingDefs(p)
-	if len(r.Defs) != 3 {
-		t.Fatalf("defs = %d, want 3", len(r.Defs))
-	}
-	var idxThen, idxElse, idxEntry int = -1, -1, -1
-	for i, d := range r.Defs {
-		switch {
-		case d.Temp == 1 && d.Block == 0:
-			idxEntry = i
-		case d.Temp == 1 && d.Block == 2:
-			idxElse = i
-		case d.Temp == 0:
-			idxThen = i
-		}
-	}
-	if idxEntry < 0 || idxElse < 0 || idxThen < 0 {
-		t.Fatalf("def sites not found: %+v", r.Defs)
-	}
-	// Both t1 defs reach the join; the entry def survives only via b1.
-	if !r.In[3].Get(idxEntry) || !r.In[3].Get(idxElse) {
-		t.Errorf("join does not see both t1 definitions")
-	}
-	// The else-arm redefinition kills the entry def along b2.
-	if r.Out[2].Get(idxEntry) {
-		t.Error("killed definition reaches out of b2")
-	}
-}
-
-func TestReachingDefsLoop(t *testing.T) {
-	p := loopedProc()
-	r := ReachingDefs(p)
-	// The body's def of t2 flows around the back edge into the header.
-	var idxBody = -1
-	for i, d := range r.Defs {
-		if d.Temp == 2 {
-			idxBody = i
-		}
-	}
-	if idxBody < 0 {
-		t.Fatal("body def not found")
-	}
-	if !r.In[1].Get(idxBody) {
-		t.Error("loop body definition does not reach the header")
-	}
-	if r.In[0].Count() != 0 {
-		t.Error("entry sees reaching definitions")
-	}
-}
-
 func TestDeadStores(t *testing.T) {
 	p := &cfg.Proc{
 		Name:    "ds",

@@ -30,13 +30,6 @@ func (b Bits) Fill(n int) {
 	}
 }
 
-// Zero clears all bits.
-func (b Bits) Zero() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // Clone returns an independent copy.
 func (b Bits) Clone() Bits {
 	out := make(Bits, len(b))
@@ -97,15 +90,4 @@ func (b Bits) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ForEach calls f with the index of every set bit, in ascending order.
-func (b Bits) ForEach(f func(int)) {
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			f(wi*64 + i)
-			w &= w - 1
-		}
-	}
 }

@@ -730,16 +730,6 @@ func sortBlockIDs(ids []ir.BlockID) {
 	}
 }
 
-// VarIntervalAt returns the interval of a scalar variable at block entry.
-// Untracked names (globals, arrays) and unreached blocks return Top.
-func (r *Ranges) VarIntervalAt(b ir.BlockID, name string) Interval {
-	i := r.vs.Index(name)
-	if i < 0 || int(b) >= len(r.in) || r.in[b] == nil {
-		return Top()
-	}
-	return r.in[b].vars[i]
-}
-
 // EdgeVarInterval returns the interval of a scalar variable as control
 // crosses the given edge, refined by the branch condition when the edge
 // leaves a conditional block. The second result is false when the edge was
@@ -751,19 +741,6 @@ func (r *Ranges) EdgeVarInterval(from, to ir.BlockID, name string) (Interval, bo
 		return Top(), false
 	}
 	return st.vars[i], true
-}
-
-// TempAtTerm returns the interval of a temp at a block's terminator (after
-// the whole block body has executed). Unreached blocks return Top.
-func (r *Ranges) TempAtTerm(b ir.BlockID, t ir.Temp) Interval {
-	if int(b) >= len(r.in) || r.in[b] == nil || t < 0 || int(t) >= r.proc.NumTemp {
-		return Top()
-	}
-	st := r.in[b].clone()
-	for _, instr := range r.proc.Block(b).Instrs {
-		r.step(st, instr)
-	}
-	return st.temps[t]
 }
 
 // tempAt returns the interval of a temp just before instruction idx of

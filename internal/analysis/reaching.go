@@ -5,70 +5,6 @@ import (
 	"codetomo/internal/ir"
 )
 
-// DefSite identifies one temp definition in a procedure.
-type DefSite struct {
-	Block ir.BlockID
-	Index int // instruction index within the block
-	Temp  ir.Temp
-}
-
-// Reaching is the reaching-definitions fixpoint over temp definitions:
-// fact i corresponds to Defs[i], and In[b]/Out[b] hold the definitions
-// that may reach the top/bottom of block b.
-type Reaching struct {
-	Defs    []DefSite
-	In, Out []Bits
-}
-
-// ReachingDefs computes which temp definitions may reach each block. Every
-// instruction that defines a temp is one fact; a definition of temp t
-// kills every other definition of t.
-func ReachingDefs(p *cfg.Proc) *Reaching {
-	var defs []DefSite
-	// defsOf[t] lists the fact indices defining temp t.
-	defsOf := make([][]int, p.NumTemp)
-	siteAt := make([][]int, len(p.Blocks)) // per block, fact index per defining instr (-1 none)
-	for _, b := range p.Blocks {
-		siteAt[b.ID] = make([]int, len(b.Instrs))
-		for i, in := range b.Instrs {
-			siteAt[b.ID][i] = -1
-			if d, ok := ir.InstrDef(in); ok && inRange(d, p.NumTemp) {
-				idx := len(defs)
-				defs = append(defs, DefSite{Block: b.ID, Index: i, Temp: d})
-				defsOf[d] = append(defsOf[d], idx)
-				siteAt[b.ID][i] = idx
-			}
-		}
-	}
-
-	n := len(defs)
-	prob := &Problem{
-		Dir:  Forward,
-		May:  true,
-		Bits: n,
-		Gen:  make([]Bits, len(p.Blocks)),
-		Kill: make([]Bits, len(p.Blocks)),
-	}
-	for _, b := range p.Blocks {
-		gen, kill := NewBits(n), NewBits(n)
-		for i := range b.Instrs {
-			idx := siteAt[b.ID][i]
-			if idx < 0 {
-				continue
-			}
-			t := defs[idx].Temp
-			for _, other := range defsOf[t] {
-				gen.Clear(other)
-				kill.Set(other)
-			}
-			gen.Set(idx)
-		}
-		prob.Gen[int(b.ID)], prob.Kill[int(b.ID)] = gen, kill
-	}
-	res := Solve(p, prob)
-	return &Reaching{Defs: defs, In: res.In, Out: res.Out}
-}
-
 // UninitUse is a read of a temp or variable on some path along which it
 // was never written.
 type UninitUse struct {

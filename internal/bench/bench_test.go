@@ -35,8 +35,8 @@ func floatCell(t *testing.T, s string) float64 {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 25 {
-		t.Fatalf("experiments = %d, want 25", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("experiments = %d, want 22", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -291,29 +291,6 @@ func TestFaultSweepShapes(t *testing.T) {
 	}
 }
 
-// TestInterpreterBench checks shape and the acceptance floor for s1: every
-// workload runs at least a million instructions, and InterpreterBench
-// itself errors if the fused and reference cores' Stats diverge. Timing
-// ratios are deliberately not asserted — wall-clock is too noisy under
-// instrumented builds.
-func TestInterpreterBench(t *testing.T) {
-	tab, err := InterpreterBench(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("S1 rows = %d, want 4\n%s", len(tab.Rows), tab.Render())
-	}
-	for _, row := range tab.Rows {
-		if mi := floatCell(t, row[2]); mi < 1.0 {
-			t.Fatalf("S1 %s/%s executed only %v Minstr, want >= 1\n%s", row[0], row[1], mi, tab.Render())
-		}
-		if !strings.HasSuffix(row[6], "x") {
-			t.Fatalf("S1 speedup cell %q not a ratio", row[6])
-		}
-	}
-}
-
 // TestStaticAnalysisBench checks the sa1 acceptance shape: pinning shrinks
 // the estimator's free-parameter set on the rail cases at equal-or-better
 // accuracy, and dead-branch elimination saves cycles and code bytes
@@ -349,28 +326,6 @@ func TestStaticAnalysisBench(t *testing.T) {
 		if pinned == 0 && (cycSaved != 0 || codeSaved != 0) {
 			t.Errorf("%s: control case changed under DBE (cyc %v, code %v)",
 				row[0], cycSaved, codeSaved)
-		}
-	}
-}
-
-func TestStationIngestSweep(t *testing.T) {
-	tab, err := StationIngestSweep(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("ST1 rows = %d, want 9\n%s", len(tab.Rows), tab.Render())
-	}
-	for _, row := range tab.Rows {
-		frames, epochs := floatCell(t, row[2]), floatCell(t, row[3])
-		if frames < 1 {
-			t.Errorf("motes=%s shards=%s: no frames ingested", row[0], row[1])
-		}
-		if epochs < 1 {
-			t.Errorf("motes=%s shards=%s: no epochs sealed", row[0], row[1])
-		}
-		if rate := floatCell(t, row[5]); rate <= 0 {
-			t.Errorf("motes=%s shards=%s: nonpositive frame rate %v", row[0], row[1], rate)
 		}
 	}
 }

@@ -49,10 +49,7 @@ func Experiments() []Experiment {
 		{"fl2", "Fleet 2: estimation error vs fleet size", FleetSizeSweep},
 		{"ft1", "Fault 1: naive vs hardened uplink under faults", FaultRecoverySweep},
 		{"ft2", "Fault 2: ARQ recovery cost vs corruption rate", ARQOverheadSweep},
-		{"k1", "Kernel 1: estimation kernel microbenchmarks", KernelBench},
-		{"s1", "Speed 1: interpreter core throughput (fused vs reference)", InterpreterBench},
 		{"sa1", "Static 1: value-range pinning and dead-branch elimination", StaticAnalysisBench},
-		{"st1", "Station 1: base-station ingest throughput vs shards and fleet size", StationIngestSweep},
 		{"in1", "Intermittent 1: completion and estimation under harvested power", IntermittentSweep},
 		{"fl3", "Fleet 3: simulation density and scaling (motes/sec/core)", FleetScaleSweep},
 		{"pg1", "PGO 1: cycles by profile-guided pass vs placement-only", PGOSweep},
@@ -380,8 +377,7 @@ func FigF7(c Config) (*report.Table, error) {
 		Title:  "F7: EM estimation MAE by input regime (eventdetect)",
 		Header: []string{"regime", "mae", "maxerr"},
 	}
-	regimes := []string{"gaussian", "uniform", "bursty", "regime", "diurnal"}
-	for j, regime := range regimes {
+	for j, regime := range workload.RegimeNames() {
 		r, err := c.executeWorkload(a, compile.Options{Instrument: compile.ModeTimestamps}, regime, int64(600+j), c.Samples)
 		if err != nil {
 			return nil, err
@@ -674,7 +670,7 @@ func AblationDynamicPredictor(c Config) (*report.Table, error) {
 	return t, nil
 }
 
-// SortedIDs lists experiment ids in run order.
+// SortedIDs lists experiment ids in lexical order.
 func SortedIDs() []string {
 	var ids []string
 	for _, e := range Experiments() {

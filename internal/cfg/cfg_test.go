@@ -152,14 +152,6 @@ func TestReversePostorder(t *testing.T) {
 	}
 }
 
-func TestExits(t *testing.T) {
-	p := loopProc()
-	exits := p.Exits()
-	if len(exits) != 1 || exits[0] != 3 {
-		t.Fatalf("exits = %v", exits)
-	}
-}
-
 func TestDominators(t *testing.T) {
 	p := diamond()
 	idom := p.Dominators()

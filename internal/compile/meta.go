@@ -157,6 +157,7 @@ func (m *Meta) EdgeExtraCycles(pm *ProcMeta, e EdgeKey, pred Predictor) (uint64,
 // ending at a return block), under the measured-interval convention: the
 // sum of block costs plus per-edge extras. Callee time is excluded by
 // construction (call sites charge only the boundary overhead).
+// It is a differential oracle for tests of the measured timing model.
 func (m *Meta) PathCycles(pm *ProcMeta, path []ir.BlockID, pred Predictor) (uint64, error) {
 	total := pm.EntryOverhead
 	for i, b := range path {

@@ -145,8 +145,11 @@ func main() {
 	countBackward := func(code []isa.Instr) int {
 		n := 0
 		for pc, in := range code {
-			if in.IsCondBranch() && in.Imm <= int32(pc) {
-				n++
+			switch in.Op {
+			case isa.BZ, isa.BNZ, isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
+				if in.Imm <= int32(pc) {
+					n++
+				}
 			}
 		}
 		return n

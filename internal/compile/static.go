@@ -82,19 +82,6 @@ func (out *Output) ProcStaticBound(name string) (StaticBound, error) {
 	return StaticBound{WCET: w, Trips: trips, ResolvedBranches: r.ResolvedBranches()}, nil
 }
 
-// StaticBounds computes ProcStaticBound for every procedure.
-func (out *Output) StaticBounds() (map[string]StaticBound, error) {
-	bounds := make(map[string]StaticBound, len(out.CFG.Procs))
-	for _, p := range out.CFG.Procs {
-		b, err := out.ProcStaticBound(p.Name)
-		if err != nil {
-			return nil, err
-		}
-		bounds[p.Name] = b
-	}
-	return bounds, nil
-}
-
 // StaticEnvelope is the feasible range of one measured interval of a
 // procedure: no exclusive-duration observation can fall outside
 // [MinCycles, MaxCycles] when Bounded.

@@ -158,6 +158,20 @@ func runWithBudget(m *mote.Machine, maxCycles uint64) (minSP int32, err error) {
 	return minSP, nil
 }
 
+// staticBounds computes ProcStaticBound for every procedure.
+func staticBounds(t *testing.T, out *Output) map[string]StaticBound {
+	t.Helper()
+	bounds := make(map[string]StaticBound, len(out.CFG.Procs))
+	for _, p := range out.CFG.Procs {
+		b, err := out.ProcStaticBound(p.Name)
+		if err != nil {
+			t.Fatalf("bounds: %s: %v", p.Name, err)
+		}
+		bounds[p.Name] = b
+	}
+	return bounds
+}
+
 // checkStaticBounds builds src with full optimizations plus timestamps at
 // TickDiv 1, runs it, and asserts that no measured exclusive interval
 // exceeds the procedure's static WCET and that the observed stack depth
@@ -172,10 +186,7 @@ func checkStaticBounds(t *testing.T, tag, src string, senseVals, randVals []uint
 		if err != nil {
 			t.Fatalf("%s: build(dbe=%v): %v\n%s", tag, dbe, err, src)
 		}
-		bounds, err := out.StaticBounds()
-		if err != nil {
-			t.Fatalf("%s: bounds: %v", tag, err)
-		}
+		bounds := staticBounds(t, out)
 		stack := analysis.StackBounds(out.CFG)
 
 		cfgM := mote.DefaultConfig()
@@ -275,10 +286,7 @@ func TestStaticBoundsExamples(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			bounds, err := out.StaticBounds()
-			if err != nil {
-				t.Fatalf("bounds: %v", err)
-			}
+			bounds := staticBounds(t, out)
 			cfgM := mote.DefaultConfig()
 			cfgM.TickDiv = 1
 			si, ri := 0, 0

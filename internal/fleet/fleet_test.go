@@ -481,7 +481,7 @@ func TestEstimateStreams(t *testing.T) {
 		perMote[i] = map[int][]float64{pm.Index: up.Durations[pm.Index]}
 	}
 	rounds := BatchStreams(perMote, 4)
-	model, err := tomography.NewModel(out, "work", mote.StaticNotTaken{}, markov.DefaultEnumerateOptions())
+	model, err := tomography.NewModel(out, "work", mote.StaticNotTaken{}, markov.EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

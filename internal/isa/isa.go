@@ -113,25 +113,6 @@ type Instr struct {
 	Imm int32 // immediate / address / port, sign-extended
 }
 
-// IsCondBranch reports whether the instruction is a conditional branch.
-func (i Instr) IsCondBranch() bool {
-	switch i.Op {
-	case BZ, BNZ, BEQ, BNE, BLT, BGE:
-		return true
-	}
-	return false
-}
-
-// IsTerminator reports whether control never falls through this
-// instruction (unconditional transfer or stop).
-func (i Instr) IsTerminator() bool {
-	switch i.Op {
-	case JMP, RET, HALT:
-		return true
-	}
-	return false
-}
-
 func (i Instr) String() string {
 	switch i.Op {
 	case NOP, HALT, RET:

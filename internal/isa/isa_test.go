@@ -35,21 +35,6 @@ func TestInstrString(t *testing.T) {
 	}
 }
 
-func TestBranchClassification(t *testing.T) {
-	if !(Instr{Op: BZ}).IsCondBranch() || !(Instr{Op: BGE}).IsCondBranch() {
-		t.Fatal("conditional branches not classified")
-	}
-	if (Instr{Op: JMP}).IsCondBranch() {
-		t.Fatal("JMP classified as conditional")
-	}
-	if !(Instr{Op: JMP}).IsTerminator() || !(Instr{Op: RET}).IsTerminator() || !(Instr{Op: HALT}).IsTerminator() {
-		t.Fatal("terminators not classified")
-	}
-	if (Instr{Op: BNZ}).IsTerminator() {
-		t.Fatal("conditional branch classified as terminator")
-	}
-}
-
 func TestDefaultCostModel(t *testing.T) {
 	m := DefaultCostModel()
 	for op := Op(0); op < numOps; op++ {

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // Markov model and the tomography estimators: dense matrices, LU
-// factorization with partial pivoting, and least-squares solves.
+// factorization with partial pivoting, and nonnegative least squares.
 //
 // The matrices involved are tiny (one state per basic block of a procedure,
 // rarely more than a few dozen), so the implementation favours clarity and
@@ -10,7 +10,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -34,21 +33,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrShape)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -93,26 +77,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return out, nil
-}
-
 // MulVec returns the matrix-vector product m·x.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if m.cols != len(x) {
@@ -128,38 +92,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry of m.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

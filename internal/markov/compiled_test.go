@@ -74,7 +74,7 @@ func TestCompiledPathProbsMatchReference(t *testing.T) {
 
 func TestCompiledPathProbsZeroEdge(t *testing.T) {
 	p := diamond()
-	paths, _ := Enumerate(p, DefaultEnumerateOptions())
+	paths, _ := Enumerate(p, testEnum)
 	cp := Compile(p, paths)
 	ep := Uniform(p)
 	ep[edge(0, 1)] = 0
@@ -117,11 +117,8 @@ func TestEdgeIndexRoundTrip(t *testing.T) {
 
 func TestSortedTimesWindowMatchesScan(t *testing.T) {
 	p, costs := diamondChain(6)
-	paths, _ := Enumerate(p, DefaultEnumerateOptions())
-	times := make([]float64, len(paths))
-	for i, path := range paths {
-		times[i] = PathTime(path, costs)
-	}
+	paths, _ := Enumerate(p, testEnum)
+	times := PathTimes(p, paths, costs)
 	st := NewSortedTimes(times)
 	if !sort.Float64sAreSorted(st.Times) {
 		t.Fatal("times not sorted")

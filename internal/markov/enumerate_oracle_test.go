@@ -68,6 +68,20 @@ func enumerateMaps(p *cfg.Proc, opts markov.EnumerateOptions) (paths []*markov.P
 	return paths, truncated
 }
 
+// oraclePathTime is a path's duration summed in the reference order:
+// entry overhead, then blocks in order, then count × edge cost in arc
+// order, with each arc's cost looked up in the cost map.
+func oraclePathTime(path *markov.Path, costs *markov.Costs) float64 {
+	t := costs.EntryOverhead
+	for _, b := range path.Blocks {
+		t += costs.Block[int(b)]
+	}
+	for _, a := range path.Arcs {
+		t += float64(a.Count) * costs.Edge[a.Edge]
+	}
+	return t
+}
+
 // oracleCosts gives every block and edge a distinct non-integer cost, so
 // any change in PathTimes' summation order shows in the rounding.
 func oracleCosts(p *cfg.Proc) *markov.Costs {
@@ -115,7 +129,7 @@ func diffEnumerate(p *cfg.Proc, opts markov.EnumerateOptions) string {
 	}
 	costs := oracleCosts(p)
 	for j, tm := range markov.PathTimes(p, got, costs) {
-		if want := markov.PathTime(want[j], costs); math.Float64bits(tm) != math.Float64bits(want) {
+		if want := oraclePathTime(want[j], costs); math.Float64bits(tm) != math.Float64bits(want) {
 			return fmt.Sprintf("path %d time %v, oracle %v", j, tm, want)
 		}
 	}

@@ -66,14 +66,6 @@ type EnumerateOptions struct {
 	MaxPaths int
 }
 
-// DefaultEnumerateOptions bounds enumeration to 6 visits per block and
-// 4096 paths: a small bound for unit tests and synthetic chains. The
-// pipelines enumerate under PipelineMaxPaths with their configured visit
-// bound instead.
-func DefaultEnumerateOptions() EnumerateOptions {
-	return EnumerateOptions{MaxVisits: 6, MaxPaths: 4096}
-}
-
 // Enumerate lists execution paths of the procedure by depth-first search
 // with a per-block visit cap. truncated reports whether any path was cut
 // off by the caps (its probability mass is missing from the returned set;
@@ -182,10 +174,11 @@ func (c *chunks[T]) take(n int) []T {
 	return s
 }
 
-// PathTimes returns PathTime of every path enumerated from p. It reads
-// each arc's edge cost from a dense table by the arc's recorded edge index
-// instead of from the Costs.Edge map; the summation order is PathTime's,
-// so the results are bit-identical.
+// PathTimes returns the deterministic duration of every path enumerated
+// from p: entry overhead, then the blocks in order, then count × edge cost
+// in arc order. Edge costs come from a dense table by each arc's recorded
+// edge index; the enumeration oracle test pins the results bit-for-bit
+// against the same sum over the Costs.Edge map.
 func PathTimes(p *cfg.Proc, paths []*Path, costs *Costs) []float64 {
 	ix := NewEdgeIndex(p)
 	edgeCost := ix.Dense(costs.Edge)
@@ -201,60 +194,4 @@ func PathTimes(p *cfg.Proc, paths []*Path, costs *Costs) []float64 {
 		out[j] = t
 	}
 	return out
-}
-
-// PathTime computes a path's deterministic duration from the chain costs.
-func PathTime(path *Path, costs *Costs) float64 {
-	t := costs.EntryOverhead
-	for _, b := range path.Blocks {
-		t += costs.Block[int(b)]
-	}
-	for _, a := range path.Arcs {
-		t += float64(a.Count) * costs.Edge[a.Edge]
-	}
-	return t
-}
-
-// SamplePath draws a random path through the chain (used by tests and the
-// synthetic-chain experiments). rng is any func returning uniform [0,1).
-// maxSteps guards against non-absorbing chains; a nil path is returned if
-// the walk fails to absorb.
-func (c *Chain) SamplePath(rng func() float64, maxSteps int) *Path {
-	if maxSteps <= 0 {
-		maxSteps = 100000
-	}
-	path := &Path{}
-	cur := c.proc.Entry
-	path.Blocks = append(path.Blocks, cur)
-	for step := 0; step < maxSteps; step++ {
-		succs := c.proc.Block(cur).Succs()
-		if len(succs) == 0 {
-			return path
-		}
-		u := rng()
-		acc := 0.0
-		next := succs[len(succs)-1]
-		for _, s := range succs {
-			acc += c.probs[[2]ir.BlockID{cur, s}]
-			if u < acc {
-				next = s
-				break
-			}
-		}
-		e := [2]ir.BlockID{cur, next}
-		seen := false
-		for i := range path.Arcs {
-			if path.Arcs[i].Edge == e {
-				path.Arcs[i].Count++
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			path.Arcs = append(path.Arcs, Arc{Edge: e, Count: 1})
-		}
-		path.Blocks = append(path.Blocks, next)
-		cur = next
-	}
-	return nil
 }

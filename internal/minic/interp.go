@@ -58,6 +58,7 @@ const (
 
 // Interpret runs a checked MiniC file under the given environment,
 // executing at most maxSteps statements/expressions.
+// It is a differential oracle for tests: compiled programs must match it.
 func Interpret(f *File, env Env, maxSteps int) error {
 	if env.Sense == nil {
 		env.Sense = func() uint16 { return 0 }

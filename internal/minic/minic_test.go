@@ -1,12 +1,38 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// lexAll tokenizes the whole input, EOF token included.
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == EOF {
+			return out, nil
+		}
+	}
+}
+
+// mustParse parses src and panics on error.
+func mustParse(src string) *File {
+	f, err := Parse(src)
+	if err != nil {
+		panic(fmt.Sprintf("minic.mustParse: %v", err))
+	}
+	return f
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := LexAll("var x int = 0x1F; // comment\nfunc f() { }")
+	toks, err := lexAll("var x int = 0x1F; // comment\nfunc f() { }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +51,7 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexOperators(t *testing.T) {
-	toks, err := LexAll("a << b >> c <= d >= e == f != g && h || i & j | k ^ ~m !n")
+	toks, err := lexAll("a << b >> c <= d >= e == f != g && h || i & j | k ^ ~m !n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +74,14 @@ func TestLexOperators(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"@", "/* unterminated", "0x", "99999"} {
-		if _, err := LexAll(src); err == nil {
-			t.Errorf("LexAll(%q) accepted", src)
+		if _, err := lexAll(src); err == nil {
+			t.Errorf("lexAll(%q) accepted", src)
 		}
 	}
 }
 
 func TestLexBlockComment(t *testing.T) {
-	toks, err := LexAll("a /* hi\nthere */ b")
+	toks, err := lexAll("a /* hi\nthere */ b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +158,7 @@ func TestParseAndCheckGood(t *testing.T) {
 }
 
 func TestParsePrecedence(t *testing.T) {
-	f := MustParse("func main() { var x int; x = 1 + 2 * 3; }")
+	f := mustParse("func main() { var x int; x = 1 + 2 * 3; }")
 	asg := f.Funcs[0].Body.Stmts[1].(*AssignStmt)
 	bin := asg.Value.(*BinExpr)
 	if bin.Op != Plus {
@@ -144,7 +170,7 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseLogicalPrecedence(t *testing.T) {
-	f := MustParse("func main() { var x int; x = 1 || 2 && 3; }")
+	f := mustParse("func main() { var x int; x = 1 || 2 && 3; }")
 	asg := f.Funcs[0].Body.Stmts[1].(*AssignStmt)
 	bin := asg.Value.(*BinExpr)
 	if bin.Op != OrOr {
@@ -153,7 +179,7 @@ func TestParseLogicalPrecedence(t *testing.T) {
 }
 
 func TestParseElseIfChain(t *testing.T) {
-	f := MustParse(`func main() { var x int; if (x == 1) { x = 1; } else if (x == 2) { x = 2; } else { x = 3; } }`)
+	f := mustParse(`func main() { var x int; if (x == 1) { x = 1; } else if (x == 2) { x = 2; } else { x = 3; } }`)
 	ifs := f.Funcs[0].Body.Stmts[1].(*IfStmt)
 	if ifs.Else == nil {
 		t.Fatal("else missing")
@@ -223,13 +249,13 @@ func TestCheckErrors(t *testing.T) {
 func TestCheckIfWithoutElseReturn(t *testing.T) {
 	// if-without-else cannot satisfy the must-return rule.
 	src := `func f(x int) int { if (x > 0) { return 1; } } func main() { }`
-	f := MustParse(src)
+	f := mustParse(src)
 	if err := Check(f); err == nil {
 		t.Fatal("accepted function whose control can reach the end")
 	}
 	// With both sides returning it must pass.
 	src2 := `func f(x int) int { if (x > 0) { return 1; } else { return 0; } } func main() { }`
-	if err := Check(MustParse(src2)); err != nil {
+	if err := Check(mustParse(src2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,7 +275,7 @@ func TestEvalConst(t *testing.T) {
 		"6 | 1":    7,
 	}
 	for src, want := range cases {
-		f := MustParse("var g int = " + src + "; func main() { }")
+		f := mustParse("var g int = " + src + "; func main() { }")
 		v, err := EvalConst(f.Globals[0].Init)
 		if err != nil {
 			t.Errorf("EvalConst(%q): %v", src, err)
@@ -260,7 +286,7 @@ func TestEvalConst(t *testing.T) {
 		}
 	}
 	for _, src := range []string{"1/0", "5%0"} {
-		f := MustParse("var g int = " + src + "; func main() { }")
+		f := mustParse("var g int = " + src + "; func main() { }")
 		if _, err := EvalConst(f.Globals[0].Init); err == nil {
 			t.Errorf("EvalConst(%q) accepted", src)
 		}

@@ -156,10 +156,3 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	return ck, nil
 }
-
-// DecodeCheckpoint parses a CTCK checkpoint image (exported for tools and
-// the fuzz harness).
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoint(data) }
-
-// EncodeCheckpoint serializes a checkpoint in the CTCK format.
-func EncodeCheckpoint(ck *Checkpoint) []byte { return ck.encode() }

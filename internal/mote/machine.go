@@ -235,6 +235,7 @@ func (m *Machine) Trace() []TraceEvent { return m.trace }
 // table (the same dense-inside, map-at-the-boundary shape as BranchStats);
 // PROFCNT sites sharing an id sum into one entry, exactly as the original
 // live map did.
+// It is a differential oracle for tests of the edge-counter build.
 func (m *Machine) ProfileCounters() map[int32]uint64 {
 	out := make(map[int32]uint64)
 	for pc, n := range m.profCnt {
@@ -289,21 +290,13 @@ func (m *Machine) Mem(addr int) (uint16, error) {
 	return m.mem[addr], nil
 }
 
-// SetMem writes a data word (for tests and tools that pre-load state).
-func (m *Machine) SetMem(addr int, v uint16) error {
-	if addr < 0 || addr >= len(m.mem) {
-		return fmt.Errorf("%w: addr %d", ErrMemFault, addr)
-	}
-	m.mem[addr] = v
-	return nil
-}
-
 // RunReference executes until HALT, an execution fault, or the cycle
 // budget is exhausted, one Step call per instruction. It is the reference
 // core: Run (the fused core, see run.go) must stop with the same error at
 // the same pc after the same cycle count, a contract pinned by the
 // differential property test and FuzzFastCore. A HALT stop returns nil;
 // budget exhaustion returns ErrCycleBudget wrapped with position info.
+// Power mode calls it: Run delegates here for intermittent execution.
 func (m *Machine) RunReference(maxCycles uint64) error {
 	for !m.halted {
 		if m.stats.Cycles >= maxCycles {

@@ -207,15 +207,6 @@ func (m *Machine) ckptsEnabled() bool {
 	return m.power != nil && m.power.cfg.Checkpoint.Enabled()
 }
 
-// ChargeUJ returns the current capacitor charge, or 0 when the machine is
-// mains-powered.
-func (m *Machine) ChargeUJ() float64 {
-	if m.power == nil {
-		return 0
-	}
-	return m.power.charge
-}
-
 // stepPowered wraps one reference-core instruction with capacitor
 // accounting: drain the energy-model delta, credit harvest over the
 // instruction's cycles, commit checkpoints at safe points, and fail power

@@ -61,7 +61,7 @@ func TestPowerDrainAccounting(t *testing.T) {
 	if math.Abs(s.DrainedUJ-want) > 1e-6 {
 		t.Errorf("DrainedUJ = %v, want %v", s.DrainedUJ, want)
 	}
-	if got := m.ChargeUJ(); math.Abs(got-(1e6-s.DrainedUJ)) > 1e-6 {
+	if got := m.power.charge; math.Abs(got-(1e6-s.DrainedUJ)) > 1e-6 {
 		t.Errorf("charge = %v, want %v", got, 1e6-s.DrainedUJ)
 	}
 }
@@ -209,7 +209,7 @@ func TestResetComposesWithPower(t *testing.T) {
 	if math.Abs(s.HarvestedUJ-wantHarvest) > 1e-6 {
 		t.Errorf("HarvestedUJ = %v, want %v", s.HarvestedUJ, wantHarvest)
 	}
-	if got := m.ChargeUJ(); math.Abs(got-(5e5+s.HarvestedUJ-s.DrainedUJ)) > 1e-6 {
+	if got := m.power.charge; math.Abs(got-(5e5+s.HarvestedUJ-s.DrainedUJ)) > 1e-6 {
 		t.Errorf("charge conservation violated: %v", got)
 	}
 }

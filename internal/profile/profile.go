@@ -4,17 +4,15 @@
 //
 //   - Oracle: exact edge probabilities from the simulator's ground-truth
 //     branch statistics (what an ideal profiler would report).
-//   - EdgeCounter: exact edge probabilities reconstructed from PROFCNT arc
-//     counters in a ModeEdgeCounters build — the classical full
-//     instrumentation approach, with its RAM/flash/runtime cost.
+//   - EdgeCounter: the PROFCNT arc counters of a ModeEdgeCounters build —
+//     the classical full instrumentation approach, with its
+//     RAM/flash/runtime cost.
 //   - Sampling: PC-sampling profiler that estimates block weights only.
 //   - BallLarus: static branch-prediction heuristics needing no profiling
 //     at all (the zero-cost baseline).
 package profile
 
 import (
-	"fmt"
-
 	"codetomo/internal/cfg"
 	"codetomo/internal/compile"
 	"codetomo/internal/ir"
@@ -55,6 +53,7 @@ func OracleProbs(pm *compile.ProcMeta, proc *cfg.Proc, branchStats map[int32]*mo
 // OracleEdgeCounts converts branch statistics into absolute edge traversal
 // counts (the layout pass prefers counts over probabilities so hot code
 // dominates).
+// It is a differential oracle for tests of the probability conversion.
 func OracleEdgeCounts(pm *compile.ProcMeta, proc *cfg.Proc, branchStats map[int32]*mote.BranchStat) map[[2]ir.BlockID]float64 {
 	out := make(map[[2]ir.BlockID]float64)
 	for _, bb := range proc.BranchBlocks() {
@@ -75,30 +74,4 @@ func OracleEdgeCounts(pm *compile.ProcMeta, proc *cfg.Proc, branchStats map[int3
 		}
 	}
 	return out
-}
-
-// EdgeCounterProbs reconstructs edge probabilities from the PROFCNT arc
-// counters of a ModeEdgeCounters run.
-func EdgeCounterProbs(pm *compile.ProcMeta, proc *cfg.Proc, counters map[int32]uint64) (markov.EdgeProbs, error) {
-	probs := markov.Uniform(proc)
-	for _, bb := range proc.BranchBlocks() {
-		succs := proc.Block(bb).Succs()
-		var total uint64
-		counts := make([]uint64, len(succs))
-		for i, s := range succs {
-			id, ok := pm.ArcCounters[compile.EdgeKey{From: bb, To: s}]
-			if !ok {
-				return nil, fmt.Errorf("profile: %s: no arc counter for edge %v->%v", pm.Name, bb, s)
-			}
-			counts[i] = counters[id]
-			total += counts[i]
-		}
-		if total == 0 {
-			continue
-		}
-		for i, s := range succs {
-			probs[[2]ir.BlockID{bb, s}] = float64(counts[i]) / float64(total)
-		}
-	}
-	return probs, nil
 }

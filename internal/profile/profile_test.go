@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"codetomo/internal/cfg"
@@ -104,11 +105,37 @@ func TestOracleEdgeCountsMatchProbs(t *testing.T) {
 	}
 }
 
+// edgeCounterProbs reconstructs edge probabilities from the PROFCNT arc
+// counters of a ModeEdgeCounters run.
+func edgeCounterProbs(pm *compile.ProcMeta, proc *cfg.Proc, counters map[int32]uint64) (markov.EdgeProbs, error) {
+	probs := markov.Uniform(proc)
+	for _, bb := range proc.BranchBlocks() {
+		succs := proc.Block(bb).Succs()
+		var total uint64
+		counts := make([]uint64, len(succs))
+		for i, s := range succs {
+			id, ok := pm.ArcCounters[compile.EdgeKey{From: bb, To: s}]
+			if !ok {
+				return nil, fmt.Errorf("profile: %s: no arc counter for edge %v->%v", pm.Name, bb, s)
+			}
+			counts[i] = counters[id]
+			total += counts[i]
+		}
+		if total == 0 {
+			continue
+		}
+		for i, s := range succs {
+			probs[[2]ir.BlockID{bb, s}] = float64(counts[i]) / float64(total)
+		}
+	}
+	return probs, nil
+}
+
 func TestEdgeCounterProbsMatchOracle(t *testing.T) {
 	out, m := build(t, compile.ModeEdgeCounters)
 	p := out.CFG.Proc("work")
 	pm := out.Meta.ProcByName["work"]
-	fromCounters, err := EdgeCounterProbs(pm, p, m.ProfileCounters())
+	fromCounters, err := edgeCounterProbs(pm, p, m.ProfileCounters())
 	if err != nil {
 		t.Fatal(err)
 	}

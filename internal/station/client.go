@@ -51,21 +51,6 @@ func (c PushConfig) withDefaults() PushConfig {
 	return c
 }
 
-// PushFrames uploads raw frames to a station's TCP ingest over one push
-// session with a stop-and-wait ARQ: each frame is retransmitted on NAK up
-// to cfg.Retries extra times before being abandoned. Transport errors — a
-// dead station mid-stream, or an ACK that never arrives within
-// cfg.AckTimeout — abort the session; per-frame NAKs do not.
-func PushFrames(addr string, frames [][]byte, cfg PushConfig) (PushStats, error) {
-	s, err := DialPush(addr, cfg)
-	if err != nil {
-		return PushStats{}, err
-	}
-	defer s.Close()
-	err = s.Send(frames)
-	return s.Stats(), err
-}
-
 // PushSession is a long-lived client push connection: one TCP dial, any
 // number of Send calls, one running PushStats. It is the wire half of the
 // streaming fleet pipeline — cohorts of frames go out as they are

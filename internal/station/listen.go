@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"time"
 )
 
 // The wire ingest: CTP2 frames over stream and datagram transports.
@@ -27,6 +28,12 @@ const (
 	// maxWireFrame bounds a length prefix; the largest legal CTP2 frame
 	// (85 records) is ~1 KB, so anything larger is protocol confusion.
 	maxWireFrame = 2048
+
+	// tcpIdleTimeout bounds how long a TCP client may take to deliver its
+	// next frame, length prefix included. A client that goes silent
+	// mid-stream is dropped instead of holding a goroutine and its buffer
+	// forever.
+	tcpIdleTimeout = time.Minute
 )
 
 // ServeTCP accepts framed-uplink connections until the listener closes.
@@ -51,8 +58,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	var hdr [2]byte
 	buf := make([]byte, maxWireFrame)
 	for {
+		if err := conn.SetReadDeadline(time.Now().Add(s.idle)); err != nil {
+			return
+		}
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // clean EOF or a dead peer; either way the stream is over
+			return // clean EOF, a dead or idle peer; either way the stream is over
 		}
 		n := int(binary.LittleEndian.Uint16(hdr[:]))
 		if n == 0 || n > maxWireFrame {

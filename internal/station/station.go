@@ -29,6 +29,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"codetomo/internal/compile"
 	"codetomo/internal/fleet"
@@ -214,7 +215,8 @@ type Server struct {
 	shards []*shard
 	wg     sync.WaitGroup
 	cutCh  chan struct{}
-	store  *store // nil when DataDir is empty
+	store  *store        // nil when DataDir is empty
+	idle   time.Duration // per-frame TCP read deadline: tcpIdleTimeout, shortened by tests
 
 	snapMu sync.RWMutex
 	epoch  uint64
@@ -252,6 +254,7 @@ func New(cfg Config) (*Server, error) {
 		byMeta: make(map[int]*procState),
 		pool:   fleet.NewPool(cfg.Shards + 2),
 		cutCh:  make(chan struct{}, 1),
+		idle:   tcpIdleTimeout,
 	}
 	enum := markov.EnumerateOptions{MaxVisits: cfg.MaxVisits, MaxPaths: markov.PipelineMaxPaths}
 	for _, p := range prof.CFG.Procs {
@@ -510,20 +513,11 @@ func (s *Server) replay(recs []walRecord) error {
 	for _, rec := range recs {
 		switch rec.kind {
 		case walFrame:
-			var p trace.Packet
-			if err := p.UnmarshalBinary(rec.payload); err != nil {
-				// The record passed the WAL's own framing; a frame that no
-				// longer decodes means the log was tampered with or the
-				// format drifted. Either way the remainder is untrustworthy.
-				return fmt.Errorf("station: wal replay: %w", err)
-			}
-			if p.Version != trace.PacketVersionCRC {
-				return fmt.Errorf("station: wal replay: legacy frame in log")
-			}
-			s.applyPacket(s.shards[int(p.MoteID)%len(s.shards)], &p)
+			p := rec.pkt
+			s.applyPacket(s.shards[int(p.MoteID)%len(s.shards)], p)
 			s.m.frames.Add(1)
 			s.m.events.Add(uint64(len(p.Events)))
-			s.m.bytes.Add(uint64(len(rec.payload)))
+			s.m.bytes.Add(uint64(rec.size))
 			s.framesSinceCut.Add(1)
 		case walCut:
 			s.framesSinceCut.Store(0)

@@ -1,6 +1,7 @@
 package station_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -85,6 +86,17 @@ func allFrames(perMote [][][]byte) [][]byte {
 		frames = append(frames, fs...)
 	}
 	return frames
+}
+
+// pushFrames uploads frames over one push session and returns its stats.
+func pushFrames(addr string, frames [][]byte, cfg station.PushConfig) (station.PushStats, error) {
+	s, err := station.DialPush(addr, cfg)
+	if err != nil {
+		return station.PushStats{}, err
+	}
+	defer s.Close()
+	err = s.Send(frames)
+	return s.Stats(), err
 }
 
 func newStation(t testing.TB, cfg station.Config) *station.Server {
@@ -239,32 +251,139 @@ func TestCrashMidEpochResumesWarm(t *testing.T) {
 	}
 }
 
-// A torn trailing WAL record — the crash happened mid-append — must be
-// truncated away, not poison recovery.
-func TestWALTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	uploads := simulateFleet(t, 2)
-	s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
-	ingestAll(t, s1, uploads, false)
-	if _, err := s1.CutEpoch(); err != nil {
-		t.Fatal(err)
+// FuzzWALRecover appends arbitrary bytes to a valid log, as a crash
+// mid-append may leave them. Restart must never fail and must lose no
+// original record; what it keeps past them is a prefix of the appended
+// bytes, since a tail can hold well-formed records of its own (an empty
+// cut is five bytes).
+func FuzzWALRecover(f *testing.F) {
+	first, second := splitFrames(simulateFleet(f, 1))
+	dir := f.TempDir()
+	s := newStation(f, station.Config{Shards: 1, DataDir: dir})
+	ingestAll(f, s, first, false)
+	if _, err := s.CutEpoch(); err != nil {
+		f.Fatal(err)
 	}
-	s1.Abort()
+	ingestAll(f, s, [][][]byte{second[0][:2]}, false)
+	s.Abort()
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	records := uint64(len(first[0]) + 1 + 2)
 
-	wal := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+	frame := second[0][2]
+	f.Add([]byte{})
+	f.Add([]byte{'F', 0xff, 0xff})
+	f.Add(append([]byte{'F', 40, 0, 0, 0}, make([]byte, 40)...))
+	f.Add([]byte{'C', 3, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{'C', 0, 0, 0, 0})
+	f.Add(append([]byte{'F', byte(len(frame)), byte(len(frame) >> 8), 0, 0}, frame...))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		dir := t.TempDir()
+		wal := filepath.Join(dir, "wal.log")
+		full := append(append([]byte(nil), log...), tail...)
+		if err := os.WriteFile(wal, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := station.New(station.Config{Program: testProgram, Shards: 1, DataDir: dir})
+		if err != nil {
+			t.Fatalf("restart failed on tail %x: %v", tail, err)
+		}
+		s.Abort()
+		if got := s.Metrics().WALRecordsRecovered; got < records {
+			t.Fatalf("recovered %d records, want at least the %d originals", got, records)
+		}
+		kept, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) < len(log) || !bytes.Equal(kept, full[:len(kept)]) {
+			t.Fatalf("recovered log of %d bytes is not the %d-byte original plus a prefix of the tail", len(kept), len(log))
+		}
+	})
+}
+
+// A torn trailing WAL record — the crash happened mid-append — must be
+// truncated away, not poison recovery: a header cut short, a frame whose
+// header landed but whose payload is zero-filled (what a power loss can
+// leave once the file length was extended), and a cut with a payload.
+func TestWALTornTailRecovery(t *testing.T) {
+	uploads := simulateFleet(t, 2)
+	tails := map[string][]byte{
+		"torn header":         {'F', 0xff, 0xff},
+		"zero-filled payload": append([]byte{'F', 40, 0, 0, 0}, make([]byte, 40)...),
+		"cut with payload":    {'C', 1, 0, 0, 0, 0},
+	}
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
+			ingestAll(t, s1, uploads, false)
+			if _, err := s1.CutEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			s1.Abort()
+
+			wal := filepath.Join(dir, "wal.log")
+			clean, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wal, append(clean, tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := station.New(station.Config{Program: testProgram, Shards: 1, DataDir: dir})
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer s2.Close()
+			if got := s2.Epoch(); got != 1 {
+				t.Fatalf("epoch after torn-tail recovery = %d, want 1", got)
+			}
+			if got, want := s2.Metrics().WALRecordsRecovered, uint64(len(allFrames(uploads))+1); got != want {
+				t.Fatalf("recovered %d records, want %d (every frame and the cut)", got, want)
+			}
+			fi, err := os.Stat(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(len(clean)) {
+				t.Fatalf("wal is %d bytes, want it truncated back to %d", fi.Size(), len(clean))
+			}
+		})
+	}
+}
+
+// A TCP client that goes silent mid-frame must be dropped once the idle
+// deadline passes, not hold its connection forever.
+func TestServeTCPDropsStalledClient(t *testing.T) {
+	s := newStation(t, station.Config{Shards: 1})
+	defer s.Close()
+	s.SetIdleTimeout(100 * time.Millisecond)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{'F', 0xff, 0xff}); err != nil { // torn header
+	defer l.Close()
+	go s.ServeTCP(l)
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	s2 := newStation(t, station.Config{Shards: 1, DataDir: dir})
-	defer s2.Close()
-	if got := s2.Epoch(); got != 1 {
-		t.Fatalf("epoch after torn-tail recovery = %d, want 1", got)
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0x10}); err != nil { // half a length prefix
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a stalled connection = %d bytes, %v; want the station to close it (EOF)", n, err)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Fatalf("stalled connection closed after %v", elapsed)
 	}
 }
 
@@ -288,7 +407,7 @@ func TestServeTCPAckNak(t *testing.T) {
 	bad[len(bad)-1] ^= 0xff
 	frames = append(frames, bad)
 
-	st, err := station.PushFrames(l.Addr().String(), frames, station.PushConfig{Retries: 2})
+	st, err := pushFrames(l.Addr().String(), frames, station.PushConfig{Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,12 +640,12 @@ func TestPushAckTimeout(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, err = station.PushFrames(l.Addr().String(), frames, station.PushConfig{
+	_, err = pushFrames(l.Addr().String(), frames, station.PushConfig{
 		Retries:    2,
 		AckTimeout: 150 * time.Millisecond,
 	})
 	if !errors.Is(err, station.ErrAckTimeout) {
-		t.Fatalf("PushFrames error = %v, want ErrAckTimeout", err)
+		t.Fatalf("push error = %v, want ErrAckTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("push took %v; the deadline did not bound the wait", elapsed)

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"codetomo/internal/trace"
 )
 
 // The durable half of the station: an append-only write-ahead log of
@@ -18,9 +20,11 @@ import (
 // payload length | payload. Frames are stored as received off the wire —
 // they carry their own CRC, so the log inherits the wire format's
 // integrity check. Recovery reads records until the first torn or
-// implausible one (a crash mid-append), truncates the file there, and
-// replays the survivors; nothing before a torn tail is ever lost because
-// records are appended before the frame is applied.
+// implausible one (a crash mid-append: a header or payload cut short, a
+// frame that does not decode as a CRC-checked CTP2 frame, a cut with a
+// payload), truncates the file there, and replays the survivors; nothing
+// before a torn tail is ever lost because records are appended before the
+// frame is applied.
 
 const (
 	walFrame = 'F'
@@ -36,9 +40,12 @@ const (
 	walMaxPayload = 4096
 )
 
+// walRecord is one recovered log record: a cut, or a frame decoded at
+// recovery with the length it had on the wire.
 type walRecord struct {
-	kind    byte
-	payload []byte
+	kind byte
+	pkt  *trace.Packet
+	size int
 }
 
 // store is the station's data directory handle.
@@ -89,15 +96,39 @@ func recoverWAL(path string) ([]walRecord, int64, error) {
 	var recs []walRecord
 	off := int64(0)
 	for int64(len(data))-off >= 5 {
-		kind := data[off]
-		n := int64(binary.LittleEndian.Uint32(data[off+1:]))
-		if (kind != walFrame && kind != walCut) || n > walMaxPayload || off+5+n > int64(len(data)) {
+		rec, ok := parseWALRecord(data[off:])
+		if !ok {
 			break
 		}
-		recs = append(recs, walRecord{kind: kind, payload: data[off+5 : off+5+n : off+5+n]})
-		off += 5 + n
+		recs = append(recs, rec)
+		off += 5 + int64(rec.size)
 	}
 	return recs, off, nil
+}
+
+// parseWALRecord decodes the record at the head of data, reporting false
+// for a torn or implausible one.
+func parseWALRecord(data []byte) (walRecord, bool) {
+	n := int64(binary.LittleEndian.Uint32(data[1:]))
+	if n > walMaxPayload || 5+n > int64(len(data)) {
+		return walRecord{}, false
+	}
+	rec := walRecord{kind: data[0], size: int(n)}
+	switch rec.kind {
+	case walFrame:
+		var p trace.Packet
+		if p.UnmarshalBinary(data[5:5+n]) != nil || p.Version != trace.PacketVersionCRC {
+			return walRecord{}, false
+		}
+		rec.pkt = &p
+	case walCut:
+		if n != 0 {
+			return walRecord{}, false
+		}
+	default:
+		return walRecord{}, false
+	}
+	return rec, true
 }
 
 func (st *store) append(kind byte, payload []byte) error {

@@ -19,120 +19,3 @@ func MAE(a, b []float64) (float64, error) {
 	}
 	return s / float64(len(a)), nil
 }
-
-// RMSE returns the root-mean-square error between equal-length vectors.
-func RMSE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: RMSE length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, nil
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a))), nil
-}
-
-// MaxAbsError returns the largest absolute componentwise difference.
-func MaxAbsError(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: MaxAbsError length mismatch %d vs %d", len(a), len(b))
-	}
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
-// TotalVariation returns the total-variation distance ½Σ|pᵢ−qᵢ| between two
-// discrete distributions of equal support.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: TV length mismatch %d vs %d", len(p), len(q))
-	}
-	s := 0.0
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s / 2, nil
-}
-
-// KLDivergence returns D(p‖q) in nats, treating 0·log(0/q) as 0 and
-// returning +Inf when p places mass where q does not.
-func KLDivergence(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: KL length mismatch %d vs %d", len(p), len(q))
-	}
-	s := 0.0
-	for i := range p {
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1), nil
-		}
-		s += p[i] * math.Log(p[i]/q[i])
-	}
-	return s, nil
-}
-
-// CDF returns the empirical CDF of xs evaluated at each point of grid
-// (grid must be ascending).
-func CDF(xs, grid []float64) []float64 {
-	out := make([]float64, len(grid))
-	if len(xs) == 0 {
-		return out
-	}
-	for i, g := range grid {
-		n := 0
-		for _, x := range xs {
-			if x <= g {
-				n++
-			}
-		}
-		out[i] = float64(n) / float64(len(xs))
-	}
-	return out
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// NormalizeSimplex projects a nonnegative weight vector onto the
-// probability simplex by scaling; if the vector is all zeros it returns the
-// uniform distribution. The result always sums to 1 (up to float rounding).
-func NormalizeSimplex(w []float64) []float64 {
-	out := make([]float64, len(w))
-	total := 0.0
-	for _, v := range w {
-		if v > 0 {
-			total += v
-		}
-	}
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(w))
-		}
-		return out
-	}
-	for i, v := range w {
-		if v > 0 {
-			out[i] = v / total
-		}
-	}
-	return out
-}

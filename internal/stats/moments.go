@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
 // Moments accumulates streaming mean and variance (Welford's algorithm),
 // plus min/max, without storing the samples.
 type Moments struct {
@@ -31,9 +26,6 @@ func (m *Moments) Push(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// N returns the number of samples pushed.
-func (m *Moments) N() int { return m.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (m *Moments) Mean() float64 { return m.mean }
 
@@ -44,9 +36,6 @@ func (m *Moments) Variance() float64 {
 	}
 	return m.m2 / float64(m.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // Min returns the smallest sample (0 if empty).
 func (m *Moments) Min() float64 { return m.min }
@@ -73,28 +62,4 @@ func Variance(xs []float64) float64 {
 		m.Push(x)
 	}
 	return m.Variance()
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation on a sorted copy. It returns 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

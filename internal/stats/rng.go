@@ -75,32 +75,6 @@ func (g *RNG) Exponential(rate float64) float64 {
 	return g.src().ExpFloat64() / rate
 }
 
-// Poisson returns a sample from Poisson(lambda) via inversion for small
-// lambda and normal approximation for large lambda.
-func (g *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		// Normal approximation with continuity correction.
-		n := int(math.Round(g.Normal(lambda, math.Sqrt(lambda))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	r := g.src()
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Geometric returns the number of failures before the first success for
 // success probability p (support {0,1,2,...}).
 func (g *RNG) Geometric(p float64) int {
@@ -113,34 +87,6 @@ func (g *RNG) Geometric(p float64) int {
 	u := g.src().Float64()
 	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
 }
-
-// Categorical returns an index sampled with the given (nonnegative,
-// not necessarily normalized) weights. It panics on an all-zero weight
-// vector.
-func (g *RNG) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative categorical weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("stats: all-zero categorical weights")
-	}
-	u := g.src().Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // Shuffle shuffles n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.src().Shuffle(n, swap) }

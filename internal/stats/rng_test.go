@@ -13,16 +13,7 @@ var rngMethods = map[string]func(g *RNG) []float64{
 	"Bernoulli":   func(g *RNG) []float64 { return []float64{b2f(g.Bernoulli(0.3)), b2f(g.Bernoulli(0.9))} },
 	"Normal":      func(g *RNG) []float64 { return []float64{g.Normal(0, 1), g.Normal(300, 120)} },
 	"Exponential": func(g *RNG) []float64 { return []float64{g.Exponential(2), g.Exponential(0.1)} },
-	"Poisson":     func(g *RNG) []float64 { return []float64{float64(g.Poisson(3)), float64(g.Poisson(50))} },
 	"Geometric":   func(g *RNG) []float64 { return []float64{float64(g.Geometric(0.2)), float64(g.Geometric(0.9))} },
-	"Categorical": func(g *RNG) []float64 { return []float64{float64(g.Categorical([]float64{1, 2, 3, 0, 4}))} },
-	"Perm": func(g *RNG) []float64 {
-		var out []float64
-		for _, v := range g.Perm(9) {
-			out = append(out, float64(v))
-		}
-		return out
-	},
 	"Shuffle": func(g *RNG) []float64 {
 		xs := []float64{0, 1, 2, 3, 4, 5, 6, 7}
 		g.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })

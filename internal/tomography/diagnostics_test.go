@@ -30,11 +30,8 @@ func twoArmModel(t testing.TB, armDelta float64) *Model {
 		costs.Edge[[2]ir.BlockID{e.From, e.To}] = 0
 	}
 	m := &Model{Proc: p, Costs: costs}
-	m.Paths, _ = markov.Enumerate(p, markov.DefaultEnumerateOptions())
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.Paths, _ = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 6, MaxPaths: 4096})
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {
@@ -83,55 +80,5 @@ func TestBranchAmbiguityEMConsistency(t *testing.T) {
 	got := est[[2]ir.BlockID{0, 1}]
 	if got < 0.45 || got > 0.55 {
 		t.Fatalf("EM on unidentifiable branch = %v, want ~0.5 (the prior)", got)
-	}
-}
-
-func TestBootstrapSpreadSmallForIdentifiable(t *testing.T) {
-	m := syntheticModel(t)
-	truth := trueProbs(m, 0.3, 0.7)
-	samples := sampleDurations(t, m, truth, 3000, 8, 9)
-	spread, err := BootstrapSpread(m, samples, EM{Config: EMConfig{KernelHalfWidth: 8}}, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spread > 0.05 {
-		t.Fatalf("spread = %v on an identifiable model, want small", spread)
-	}
-}
-
-func TestBootstrapSpreadGrowsWithFewSamples(t *testing.T) {
-	m := syntheticModel(t)
-	truth := trueProbs(m, 0.3, 0.7)
-	big := sampleDurations(t, m, truth, 3000, 8, 13)
-	small := sampleDurations(t, m, truth, 25, 8, 13)
-	est := EM{Config: EMConfig{KernelHalfWidth: 8}}
-	sb, err := BootstrapSpread(m, big, est, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := BootstrapSpread(m, small, est, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss <= sb {
-		t.Fatalf("spread with 25 samples (%v) not above spread with 3000 (%v)", ss, sb)
-	}
-}
-
-func TestBootstrapSpreadDeterministic(t *testing.T) {
-	m := syntheticModel(t)
-	truth := trueProbs(m, 0.4, 0.6)
-	samples := sampleDurations(t, m, truth, 500, 8, 17)
-	est := EM{Config: EMConfig{KernelHalfWidth: 8}}
-	a, err := BootstrapSpread(m, samples, est, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BootstrapSpread(m, samples, est, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("bootstrap not deterministic per seed: %v vs %v", a, b)
 	}
 }

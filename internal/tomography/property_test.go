@@ -49,10 +49,7 @@ func randomModel(t testing.TB, rng *stats.RNG, diamonds int) *Model {
 	if len(m.Paths) == 0 {
 		t.Fatal("random model has no paths")
 	}
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {

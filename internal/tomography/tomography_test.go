@@ -45,10 +45,7 @@ func syntheticModel(t *testing.T) *Model {
 
 	m := &Model{Proc: p, Costs: costs}
 	m.Paths, m.Truncated = markov.Enumerate(p, markov.EnumerateOptions{MaxVisits: 25, MaxPaths: 100000})
-	m.PathTimes = make([]float64, len(m.Paths))
-	for i, path := range m.Paths {
-		m.PathTimes[i] = markov.PathTime(path, costs)
-	}
+	m.PathTimes = markov.PathTimes(p, m.Paths, costs)
 	for _, bb := range p.BranchBlocks() {
 		u := Unknown{Block: bb}
 		for _, s := range p.Block(bb).Succs() {
@@ -68,22 +65,45 @@ func trueProbs(m *Model, p01, p34 float64) markov.EdgeProbs {
 	return ep
 }
 
+// sampleTime walks one random path of the chain with branch probabilities
+// probs, drawing one uniform per step, and returns its duration under
+// costs. ok is false if the walk does not reach an exit within a million
+// steps.
+func sampleTime(p *cfg.Proc, probs markov.EdgeProbs, costs *markov.Costs, rng *stats.RNG) (d float64, ok bool) {
+	d = costs.EntryOverhead
+	cur := p.Entry
+	for step := 0; step < 1_000_000; step++ {
+		d += costs.Block[int(cur)]
+		succs := p.Block(cur).Succs()
+		if len(succs) == 0 {
+			return d, true
+		}
+		u, acc := rng.Float64(), 0.0
+		next := succs[len(succs)-1]
+		for _, s := range succs {
+			acc += probs[[2]ir.BlockID{cur, s}]
+			if u < acc {
+				next = s
+				break
+			}
+		}
+		d += costs.Edge[[2]ir.BlockID{cur, next}]
+		cur = next
+	}
+	return 0, false
+}
+
 // sampleDurations draws n durations from the true chain, quantized to the
 // tick grid like the mote's timer does.
 func sampleDurations(t testing.TB, m *Model, truth markov.EdgeProbs, n int, tickDiv int, seed int64) []float64 {
 	t.Helper()
-	chain, err := markov.New(m.Proc, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := stats.NewRNG(seed)
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		path := chain.SamplePath(rng.Float64, 1_000_000)
-		if path == nil {
+		d, ok := sampleTime(m.Proc, truth, m.Costs, rng)
+		if !ok {
 			t.Fatal("non-absorbing sample")
 		}
-		d := markov.PathTime(path, m.Costs)
 		if tickDiv > 1 {
 			// Start phase is uniform over the tick; measured duration is
 			// the tick difference scaled back to cycles.

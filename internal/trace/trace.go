@@ -18,7 +18,8 @@ import (
 var ErrMalformed = errors.New("trace: malformed event log")
 
 // EnterID and ExitID are the TRACE operand encodings used by the compiler:
-// procedure k logs 2k on entry and 2k+1 on return.
+// procedure k logs 2k on entry and 2k+1 on return. Both are oracles for
+// tests that hand-build event logs.
 func EnterID(procIndex int) int32 { return int32(procIndex * 2) }
 
 // ExitID returns the TRACE operand a procedure logs on return.

@@ -67,6 +67,12 @@ echo "== fuzz smoke (checkpoint codec)"
 # equivalent checkpoint.
 go test ./internal/mote -run=NONE -fuzz=FuzzCheckpointDecode -fuzztime=5s
 
+echo "== fuzz smoke (WAL recovery)"
+# Random bytes appended to a valid write-ahead log, as a crash mid-append
+# leaves them: the station must restart, keep every original record, and
+# truncate the rest back to a record boundary.
+go test ./internal/station -run=NONE -fuzz=FuzzWALRecover -fuzztime=5s
+
 echo "== staticcheck"
 # Pinned in CI images that carry it; skipped offline (no network installs).
 if command -v staticcheck >/dev/null 2>&1; then
