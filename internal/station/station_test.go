@@ -2,8 +2,10 @@ package station_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -251,11 +253,20 @@ func TestCrashMidEpochResumesWarm(t *testing.T) {
 	}
 }
 
+// walRecord frames one WAL record as the station writes it: type,
+// payload length, CRC-32C of the three, payload.
+func walRecord(kind byte, payload []byte) []byte {
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	rec := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Update(crc32.Checksum(rec, crc), crc, payload))
+	return append(rec, payload...)
+}
+
 // FuzzWALRecover appends arbitrary bytes to a valid log, as a crash
 // mid-append may leave them. Restart must never fail and must lose no
 // original record; what it keeps past them is a prefix of the appended
 // bytes, since a tail can hold well-formed records of its own (an empty
-// cut is five bytes).
+// cut is nine bytes with its checksum).
 func FuzzWALRecover(f *testing.F) {
 	first, second := splitFrames(simulateFleet(f, 1))
 	dir := f.TempDir()
@@ -275,10 +286,11 @@ func FuzzWALRecover(f *testing.F) {
 	frame := second[0][2]
 	f.Add([]byte{})
 	f.Add([]byte{'F', 0xff, 0xff})
-	f.Add(append([]byte{'F', 40, 0, 0, 0}, make([]byte, 40)...))
-	f.Add([]byte{'C', 3, 0, 0, 0, 1, 2, 3})
+	f.Add(append(walRecord('F', frame)[:9], make([]byte, len(frame))...))
+	f.Add(walRecord('C', []byte{1, 2, 3}))
 	f.Add([]byte{'C', 0, 0, 0, 0})
-	f.Add(append([]byte{'F', byte(len(frame)), byte(len(frame) >> 8), 0, 0}, frame...))
+	f.Add(walRecord('C', nil))
+	f.Add(walRecord('F', frame))
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
 		wal := filepath.Join(dir, "wal.log")
@@ -304,55 +316,86 @@ func FuzzWALRecover(f *testing.F) {
 	})
 }
 
+// checkTailTruncated appends tail to a sealed one-epoch log and restarts
+// the station over it: the tail must be truncated away, leaving every
+// original record, the original epoch and the original file.
+func checkTailTruncated(t *testing.T, uploads [][][]byte, tail []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
+	ingestAll(t, s1, uploads, false)
+	if _, err := s1.CutEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	s1.Abort()
+
+	wal := filepath.Join(dir, "wal.log")
+	clean, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, append(clean, tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := station.New(station.Config{Program: testProgram, Shards: 1, DataDir: dir})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.Epoch(); got != 1 {
+		t.Fatalf("epoch after torn-tail recovery = %d, want 1", got)
+	}
+	if got, want := s2.Metrics().WALRecordsRecovered, uint64(len(allFrames(uploads))+1); got != want {
+		t.Fatalf("recovered %d records, want %d (every frame and the cut)", got, want)
+	}
+	fi, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(clean)) {
+		t.Fatalf("wal is %d bytes, want it truncated back to %d", fi.Size(), len(clean))
+	}
+}
+
 // A torn trailing WAL record — the crash happened mid-append — must be
 // truncated away, not poison recovery: a header cut short, a frame whose
 // header landed but whose payload is zero-filled (what a power loss can
 // leave once the file length was extended), and a cut with a payload.
 func TestWALTornTailRecovery(t *testing.T) {
 	uploads := simulateFleet(t, 2)
+	frame := allFrames(uploads)[0]
 	tails := map[string][]byte{
 		"torn header":         {'F', 0xff, 0xff},
-		"zero-filled payload": append([]byte{'F', 40, 0, 0, 0}, make([]byte, 40)...),
-		"cut with payload":    {'C', 1, 0, 0, 0, 0},
+		"zero-filled payload": append(walRecord('F', frame)[:9], make([]byte, len(frame))...),
+		"cut with payload":    walRecord('C', []byte{0}),
 	}
 	for name, tail := range tails {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s1 := newStation(t, station.Config{Shards: 1, DataDir: dir})
-			ingestAll(t, s1, uploads, false)
-			if _, err := s1.CutEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			s1.Abort()
+		t.Run(name, func(t *testing.T) { checkTailTruncated(t, uploads, tail) })
+	}
+}
 
-			wal := filepath.Join(dir, "wal.log")
-			clean, err := os.ReadFile(wal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(wal, append(clean, tail...), 0o644); err != nil {
-				t.Fatal(err)
-			}
+// Five stray bytes that read as an unchecksummed empty cut — what an
+// append that tore after its first bytes can leave — must not replay as
+// an epoch cut.
+func TestWALStrayCutNotReplayed(t *testing.T) {
+	checkTailTruncated(t, simulateFleet(t, 2), []byte{'C', 0, 0, 0, 0})
+}
 
-			s2, err := station.New(station.Config{Program: testProgram, Shards: 1, DataDir: dir})
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			defer s2.Close()
-			if got := s2.Epoch(); got != 1 {
-				t.Fatalf("epoch after torn-tail recovery = %d, want 1", got)
-			}
-			if got, want := s2.Metrics().WALRecordsRecovered, uint64(len(allFrames(uploads))+1); got != want {
-				t.Fatalf("recovered %d records, want %d (every frame and the cut)", got, want)
-			}
-			fi, err := os.Stat(wal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() != int64(len(clean)) {
-				t.Fatalf("wal is %d bytes, want it truncated back to %d", fi.Size(), len(clean))
-			}
-		})
+// A log that does not open with the WAL magic, such as one written in an
+// older framing, is refused, and left as it was.
+func TestWALWithoutMagicRefused(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "wal.log")
+	old := []byte{'C', 0, 0, 0, 0}
+	if err := os.WriteFile(wal, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := station.New(station.Config{Program: testProgram, Shards: 1, DataDir: dir}); err == nil {
+		t.Fatal("station started over a log without the WAL magic")
+	}
+	if got, err := os.ReadFile(wal); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("refused log changed to %x (%v), want %x", got, err, old)
 	}
 }
 

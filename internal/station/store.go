@@ -1,10 +1,12 @@
 package station
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,19 +18,24 @@ import (
 // The durable half of the station: an append-only write-ahead log of
 // accepted frames and epoch cuts, plus JSON model snapshots.
 //
-// WAL record framing: 1 type byte ('F' frame, 'C' cut) | uint32 LE
-// payload length | payload. Frames are stored as received off the wire —
-// they carry their own CRC, so the log inherits the wire format's
-// integrity check. Recovery reads records until the first torn or
-// implausible one (a crash mid-append: a header or payload cut short, a
-// frame that does not decode as a CRC-checked CTP2 frame, a cut with a
-// payload), truncates the file there, and replays the survivors; nothing
-// before a torn tail is ever lost because records are appended before the
-// frame is applied.
+// WAL framing: the log opens with the 4-byte walMagic, then holds records
+// of 1 type byte ('F' frame, 'C' cut) | uint32 LE payload length |
+// uint32 LE CRC-32C of the type, length and payload | payload. Frames are
+// stored as received off the wire. Recovery reads records until the first
+// torn or implausible one (a crash mid-append: a header or payload cut
+// short, a checksum that fails, a frame that does not decode as a CTP2
+// frame, a cut with a payload), truncates the file there, and replays the
+// survivors; nothing before a torn tail is ever lost because records are
+// appended before the frame is applied. The checksum keeps a torn tail
+// that happens to parse, such as a stray empty cut, from replaying as a
+// record. A log without the magic is refused untouched.
 
 const (
 	walFrame = 'F'
 	walCut   = 'C'
+
+	walMagic  = "CTW1"
+	walHeader = 9 // type, length, checksum
 
 	walName     = "wal.log"
 	latestName  = "latest.json"
@@ -39,6 +46,8 @@ const (
 	// or corrupted header.
 	walMaxPayload = 4096
 )
+
+var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // walRecord is one recovered log record: a cut, or a frame decoded at
 // recovery with the length it had on the wire.
@@ -80,11 +89,19 @@ func openStore(dir string) (*store, []walRecord, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("station: %w", err)
 	}
+	if valid == 0 {
+		if _, err := f.WriteString(walMagic); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("station: wal header: %w", err)
+		}
+	}
 	return &store{dir: dir, f: f}, recs, nil
 }
 
-// recoverWAL parses the log's intact prefix. A missing file is an empty
-// log; a torn tail is expected after a crash and marks the valid length.
+// recoverWAL parses the log's intact prefix. A missing file, or one
+// holding only part of the magic, is a new log (valid length 0); a torn
+// tail is expected after a crash and marks the valid length. A log that
+// does not start with the magic is an error, and is left as it is.
 func recoverWAL(path string) ([]walRecord, int64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -93,15 +110,21 @@ func recoverWAL(path string) ([]walRecord, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("station: %w", err)
 	}
+	if len(data) < len(walMagic) && bytes.HasPrefix([]byte(walMagic), data) {
+		return nil, 0, nil
+	}
+	if !bytes.HasPrefix(data, []byte(walMagic)) {
+		return nil, 0, fmt.Errorf("station: %s has no %q header; refusing to replay or truncate it", path, walMagic)
+	}
 	var recs []walRecord
-	off := int64(0)
-	for int64(len(data))-off >= 5 {
+	off := int64(len(walMagic))
+	for {
 		rec, ok := parseWALRecord(data[off:])
 		if !ok {
 			break
 		}
 		recs = append(recs, rec)
-		off += 5 + int64(rec.size)
+		off += walHeader + int64(rec.size)
 	}
 	return recs, off, nil
 }
@@ -109,15 +132,22 @@ func recoverWAL(path string) ([]walRecord, int64, error) {
 // parseWALRecord decodes the record at the head of data, reporting false
 // for a torn or implausible one.
 func parseWALRecord(data []byte) (walRecord, bool) {
+	if len(data) < walHeader {
+		return walRecord{}, false
+	}
 	n := int64(binary.LittleEndian.Uint32(data[1:]))
-	if n > walMaxPayload || 5+n > int64(len(data)) {
+	if n > walMaxPayload || walHeader+n > int64(len(data)) {
+		return walRecord{}, false
+	}
+	payload := data[walHeader : walHeader+n]
+	if walChecksum(data[:5], payload) != binary.LittleEndian.Uint32(data[5:]) {
 		return walRecord{}, false
 	}
 	rec := walRecord{kind: data[0], size: int(n)}
 	switch rec.kind {
 	case walFrame:
 		var p trace.Packet
-		if p.UnmarshalBinary(data[5:5+n]) != nil || p.Version != trace.PacketVersionCRC {
+		if p.UnmarshalBinary(payload) != nil || p.Version != trace.PacketVersionCRC {
 			return walRecord{}, false
 		}
 		rec.pkt = &p
@@ -131,11 +161,18 @@ func parseWALRecord(data []byte) (walRecord, bool) {
 	return rec, true
 }
 
+// walChecksum is a record's CRC-32C over its type and length bytes (head)
+// and its payload.
+func walChecksum(head, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(head, walCRC), walCRC, payload)
+}
+
 func (st *store) append(kind byte, payload []byte) error {
-	rec := make([]byte, 5+len(payload))
+	rec := make([]byte, walHeader+len(payload))
 	rec[0] = kind
 	binary.LittleEndian.PutUint32(rec[1:], uint32(len(payload)))
-	copy(rec[5:], payload)
+	binary.LittleEndian.PutUint32(rec[5:], walChecksum(rec[:5], payload))
+	copy(rec[walHeader:], payload)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	_, err := st.f.Write(rec)

@@ -1,25 +1,14 @@
 package stats
 
-// Moments accumulates streaming mean and variance (Welford's algorithm),
-// plus min/max, without storing the samples.
+// Moments accumulates streaming mean and variance (Welford's algorithm)
+// without storing the samples.
 type Moments struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Push adds a sample.
 func (m *Moments) Push(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	m.n++
 	d := x - m.mean
 	m.mean += d / float64(m.n)
@@ -36,12 +25,6 @@ func (m *Moments) Variance() float64 {
 	}
 	return m.m2 / float64(m.n-1)
 }
-
-// Min returns the smallest sample (0 if empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest sample (0 if empty).
-func (m *Moments) Max() float64 { return m.max }
 
 // Mean returns the mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {

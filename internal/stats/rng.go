@@ -13,10 +13,12 @@ import (
 // uses. It is a thin wrapper over math/rand so every simulation and
 // estimator run is reproducible from a single seed.
 //
-// Seeding a math/rand source is the expensive part (a ~5 KB state and a
-// 607-word seed loop), so it is deferred to the first draw: a stream that
-// is never drawn costs nothing, and Reseed restarts a used one in place.
-// The zero value is an RNG seeded with 0.
+// Its source is bit-identical to rand.NewSource(seed) but builds its
+// ~5 KB register lazily (see source): seeding costs a few stores, and a
+// stream that draws a handful of values builds a few words of it. The
+// source itself is allocated on the first draw, so a stream that is never
+// drawn costs nothing, and Reseed restarts a used one in place. The zero
+// value is an RNG seeded with 0.
 type RNG struct {
 	r      *rand.Rand
 	seed   int64
@@ -46,10 +48,9 @@ func (g *RNG) src() *rand.Rand {
 // seedSource is src's slow path, kept out of line so src inlines.
 func (g *RNG) seedSource() {
 	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
-	} else {
-		g.r.Seed(g.seed)
+		g.r = rand.New(new(source))
 	}
+	g.r.Seed(g.seed)
 	g.seeded = true
 }
 

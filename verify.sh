@@ -45,6 +45,12 @@ echo "== fuzz smoke (CRC-16)"
 # oracle kept in its test file: any differing checksum is a crash.
 go test ./internal/mote -run=NONE -fuzz=FuzzCRC16 -fuzztime=5s
 
+echo "== fuzz smoke (lazy RNG source)"
+# Differential fuzzing of the lazily built random source against
+# math/rand's own: any seed and stream length whose mixed draws differ
+# is a crash.
+go test ./internal/stats -run=NONE -fuzz=FuzzSourceMatchesMathRand -fuzztime=5s
+
 echo "== fuzz smoke (interpreter cores)"
 # Differential fuzzing of the fused dispatch core against the reference
 # Step core: any state divergence on a random program is a crash.
@@ -81,11 +87,11 @@ else
 	echo "staticcheck not installed; skipping"
 fi
 
-echo "== bench smoke (estimation kernel, interpreter cores, station, fleet, energy, compile, layout)"
+echo "== bench smoke (estimation kernel, interpreter cores, station, fleet, energy, compile, layout, RNG)"
 # One iteration of every benchmark: keeps the bench code compiling and
 # running without paying for stable timings. -benchmem so the fleet
 # pipeline's bytes-per-mote stays visible in the smoke output.
-go test ./internal/tomography ./internal/markov ./internal/mote ./internal/station ./internal/fleet ./internal/fault ./internal/compile ./internal/layout -run='^$' -bench=. -benchtime=1x -benchmem
+go test ./internal/tomography ./internal/markov ./internal/mote ./internal/station ./internal/fleet ./internal/fault ./internal/compile ./internal/layout ./internal/stats -run='^$' -bench=. -benchtime=1x -benchmem
 
 echo "== fleet scale smoke (fl3 at 10^5 motes)"
 # The streaming cohort pipeline at CI scale: a hundred thousand motes must
